@@ -116,6 +116,55 @@ TEST(HistexFuzz, SerializableSIFullMix) {
         1);
 }
 
+TEST(HistexFuzz, OracleReadConsistency) {
+  Sweep(IsolationLevel::kOracleReadConsistency, {}, 1);
+}
+
+TEST(HistexFuzz, ShardedOracleReadConsistency) {
+  Sweep(IsolationLevel::kOracleReadConsistency, {}, 3);
+}
+
+TEST(HistexFuzz, OracleReadConsistencyPinned) {
+  // Oracle Read Consistency's seeded runs, pinned literally: committed,
+  // aborted, blocked steps, livelock rollbacks, checker edges and
+  // deadlock victims.  Any change to ORC's blocking, locking or abort
+  // behaviour moves a tuple.  The run size is fixed so HISTEX_TXNS cannot
+  // change it.
+  struct Pin {
+    uint64_t seed;
+    int shards;
+    uint64_t committed, aborted, blocked_steps, forced_rollbacks, edges,
+        deadlocks;
+  };
+  const std::vector<Pin> pins = {
+      {1, 1, 195, 5, 329, 0, 579, 5},
+      {2, 1, 199, 1, 372, 0, 573, 1},
+      {3, 1, 199, 1, 189, 0, 592, 1},
+      {4, 1, 198, 2, 235, 0, 607, 2},
+      {5, 1, 198, 2, 400, 0, 639, 2},
+      {1, 3, 191, 9, 532, 6, 607, 3},
+      {2, 3, 198, 2, 454, 2, 629, 0},
+      {3, 3, 199, 1, 189, 0, 607, 1},
+      {4, 3, 198, 2, 235, 0, 624, 2},
+      {5, 3, 195, 5, 404, 3, 587, 2},
+  };
+  for (const Pin& pin : pins) {
+    HistexConfig cfg;
+    cfg.seed = pin.seed;
+    cfg.engine = IsolationLevel::kOracleReadConsistency;
+    cfg.shards = pin.shards;
+    cfg.txns = 200;
+    HistexResult r = RunHistex(cfg);
+    ASSERT_TRUE(r.ok) << cfg.ToString() << "\n" << r.detail;
+    EXPECT_EQ(r.committed, pin.committed) << cfg.ToString();
+    EXPECT_EQ(r.aborted, pin.aborted) << cfg.ToString();
+    EXPECT_EQ(r.blocked_steps, pin.blocked_steps) << cfg.ToString();
+    EXPECT_EQ(r.forced_rollbacks, pin.forced_rollbacks) << cfg.ToString();
+    EXPECT_EQ(r.report.edges_added, pin.edges) << cfg.ToString();
+    EXPECT_EQ(r.stats.deadlock_aborts, pin.deadlocks) << cfg.ToString();
+  }
+}
+
 // --- the storage-backend dimension: the hash backend under the same
 // adversarial coverage that found the PR 9 SI bug --------------------------
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "critique/db/database.h"
+#include "critique/engine/engine_factory.h"
 #include "critique/shard/sharded_database.h"
 
 namespace critique {
@@ -53,6 +54,57 @@ TEST(MixedLevelTest, EnginesRefuseContractsTheyCannotHonor) {
   ASSERT_TRUE(fine.ok());
   EXPECT_TRUE(fine->Commit().ok());
   EXPECT_TRUE(snapshot.checker()->Report().ok());
+}
+
+// The multiversion engines' accept/refuse matrix, cell by cell: a
+// declared contract is honored only where the engine's own policy can
+// keep it.
+TEST(MixedLevelTest, MultiversionEnginesAcceptRefuseMatrix) {
+  const IsolationLevel kRc = IsolationLevel::kReadCommitted;
+  const IsolationLevel kSi = IsolationLevel::kSnapshotIsolation;
+  const IsolationLevel kSsi = IsolationLevel::kSerializableSI;
+  const IsolationLevel kOrc = IsolationLevel::kOracleReadConsistency;
+  struct Cell {
+    IsolationLevel engine;
+    IsolationLevel declared;
+    bool accepted;
+  };
+  const std::vector<Cell> cells = {
+      {kSi, kRc, true},     {kSi, kSi, true},     {kSi, kSsi, false},
+      {kSi, kOrc, false},   {kSsi, kRc, true},    {kSsi, kSi, true},
+      {kSsi, kSsi, true},   {kSsi, kOrc, false},  {kOrc, kRc, false},
+      {kOrc, kSi, false},   {kOrc, kSsi, false},  {kOrc, kOrc, true},
+  };
+  for (const Cell& c : cells) {
+    std::unique_ptr<Engine> e = CreateEngine(c.engine);
+    ASSERT_NE(e, nullptr);
+    Status s = e->BeginWithLevel(1, c.declared);
+    const std::string where = IsolationLevelName(c.engine) + " engine, " +
+                              IsolationLevelName(c.declared) + " declared";
+    if (c.accepted) {
+      EXPECT_TRUE(s.ok()) << where << ": " << s.ToString();
+      EXPECT_TRUE(e->Commit(1).ok()) << where;
+    } else {
+      EXPECT_TRUE(s.IsFailedPrecondition()) << where << ": " << s.ToString();
+    }
+  }
+}
+
+// Oracle Read Consistency reads per statement, so an ORC database keeps
+// no timestamped snapshots: no time travel, and no open-snapshot
+// registry to report.
+TEST(MixedLevelTest, OracleReadConsistencyKeepsNoSnapshots) {
+  Database db(IsolationLevel::kOracleReadConsistency);
+  ASSERT_TRUE(db.Load("x", Value(1)).ok());
+  EXPECT_FALSE(db.engine().SnapshotTimestamp().has_value());
+  auto travel = db.BeginAtTimestamp(1);
+  EXPECT_TRUE(travel.status().IsFailedPrecondition())
+      << travel.status().ToString();
+  Transaction open = db.Begin();
+  ASSERT_TRUE(open.active());
+  EXPECT_FALSE(db.OldestOpenSnapshot().has_value());
+  EXPECT_TRUE(open.Commit().ok());
+  EXPECT_FALSE(db.OldestOpenSnapshot().has_value());
 }
 
 // An RC reader walking item-by-item beside a Serializable writer sees a
