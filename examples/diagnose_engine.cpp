@@ -45,7 +45,8 @@ int main() {
   auto d = DiagnoseEngine([] {
     SnapshotIsolationOptions opts;
     opts.eager_write_conflicts = true;
-    return std::make_unique<SnapshotIsolationEngine>(opts);
+    return std::make_unique<SnapshotIsolationEngine>(
+        IsolationLevel::kSnapshotIsolation, opts);
   });
   if (d.ok()) {
     std::printf("%s\n", d->ToString().c_str());

@@ -352,29 +352,13 @@ std::string Database::DebugDump() const {
 
 Status Database::Execute(const BeginOptions& opts,
                          const std::function<Status(Transaction&)>& body) {
-  // The same retry protocol as the plain overload, except a begin refusal
-  // (the engine cannot honor the declared level) is terminal: retrying a
-  // contract the engine already rejected would loop forever.
+  // A begin refusal (the engine cannot honor the declared level) is
+  // terminal: retrying a contract the engine already rejected would loop
+  // forever.
   for (int attempt = 1;; ++attempt) {
     Result<Transaction> begun = Begin(opts);
     if (!begun.ok()) return begun.status();
     Transaction txn = std::move(begun).value();
-    Status s = body(txn);
-    if (s.ok() && txn.active()) s = txn.Commit();
-    if (txn.active()) (void)txn.Rollback();
-    if (s.ok()) return s;
-    if (!retry_->RetryTransaction(s, attempt)) return s;
-    execute_retries_.fetch_add(1, std::memory_order_relaxed);
-    const auto delay = retry_->RetryDelay(attempt);
-    if (delay > std::chrono::microseconds::zero()) {
-      std::this_thread::sleep_for(delay);
-    }
-  }
-}
-
-Status Database::Execute(const std::function<Status(Transaction&)>& body) {
-  for (int attempt = 1;; ++attempt) {
-    Transaction txn = Begin();
     Status s = body(txn);
     // A body that ends its own transaction (Commit, Rollback, or an
     // engine-side abort it chose to accept) is respected; otherwise commit
@@ -389,6 +373,10 @@ Status Database::Execute(const std::function<Status(Transaction&)>& body) {
       std::this_thread::sleep_for(delay);
     }
   }
+}
+
+Status Database::Execute(const std::function<Status(Transaction&)>& body) {
+  return Execute(BeginOptions{}, body);
 }
 
 // ---------------------------------------------------------------------------

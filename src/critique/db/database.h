@@ -313,7 +313,8 @@ class Database {
   /// lock timeout, deadlock victim, First-Committer-Wins / SSI refusal —
   /// rolls back and re-runs the body while the `RetryPolicy` allows.
   /// Returns the first non-retryable status, or the last failure when
-  /// retries are exhausted.
+  /// retries are exhausted.  Same as `Execute(BeginOptions{}, body)`: an
+  /// engine that refuses to begin fails the call at once.
   Status Execute(const std::function<Status(Transaction&)>& body);
 
   /// `Execute` under a per-transaction declaration: every attempt (and

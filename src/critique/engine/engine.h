@@ -236,8 +236,7 @@ class Engine {
 
   /// Selects cooperative (`kWouldBlock`) vs blocking lock-conflict
   /// handling and the lock-table stripe count.  Call before any session
-  /// starts; engines without locks (Snapshot Isolation) accept and ignore
-  /// it.
+  /// starts; engines without locks accept and ignore it.
   virtual void SetConcurrency(EngineConcurrency c) { concurrency_ = c; }
 
   /// The conflict-handling mode in force.
@@ -415,9 +414,10 @@ class Engine {
   /// Atomic read-modify-write of one item — the model of a single SQL
   /// UPDATE statement ("the SQL standard defines each statement as
   /// atomic", Section 4.3).  The default runs Read-then-Write through the
-  /// engine's normal paths; Oracle Read Consistency overrides it to apply
-  /// the transform to the latest committed value after the write lock is
-  /// granted (statement-level write consistency).
+  /// engine's normal paths; the multiversion engine overrides it so an
+  /// Oracle Read Consistency transaction applies the transform to the
+  /// latest committed value after its write lock is granted
+  /// (statement-level write consistency).
   virtual Status Update(
       TxnId txn, const ItemId& id,
       const std::function<Row(const std::optional<Row>&)>& transform);

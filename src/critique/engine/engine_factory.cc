@@ -1,7 +1,6 @@
 #include "critique/engine/engine_factory.h"
 
 #include "critique/engine/locking_engine.h"
-#include "critique/engine/read_consistency_engine.h"
 #include "critique/engine/si_engine.h"
 
 namespace critique {
@@ -12,14 +11,9 @@ std::unique_ptr<Engine> CreateEngine(IsolationLevel level) {
   }
   switch (level) {
     case IsolationLevel::kSnapshotIsolation:
-      return std::make_unique<SnapshotIsolationEngine>();
-    case IsolationLevel::kSerializableSI: {
-      SnapshotIsolationOptions opts;
-      opts.ssi = true;
-      return std::make_unique<SnapshotIsolationEngine>(opts);
-    }
+    case IsolationLevel::kSerializableSI:
     case IsolationLevel::kOracleReadConsistency:
-      return std::make_unique<ReadConsistencyEngine>();
+      return std::make_unique<SnapshotIsolationEngine>(level);
     default:
       return nullptr;
   }

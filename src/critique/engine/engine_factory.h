@@ -8,9 +8,9 @@
 namespace critique {
 
 /// Creates the engine implementing `level`: a `LockingEngine` for the
-/// Table 2 levels, a `SnapshotIsolationEngine` for Snapshot Isolation and
-/// the SSI extension, a `ReadConsistencyEngine` for Oracle Read
-/// Consistency.
+/// Table 2 levels, and a `SnapshotIsolationEngine` built with `level` as
+/// its native level for Snapshot Isolation, the SSI extension, and Oracle
+/// Read Consistency.
 std::unique_ptr<Engine> CreateEngine(IsolationLevel level);
 
 }  // namespace critique

@@ -59,22 +59,7 @@ Status LockingEngine::BeginLocked(TxnId txn, LockingPolicy policy) {
 void LockingEngine::RegisterMetrics(obs::MetricsRegistry& reg,
                                     const std::string& prefix) {
   Engine::RegisterMetrics(reg, prefix);
-  reg.RegisterGauge(prefix + "lock.acquired",
-                    [this] { return lock_manager_.stats().acquired; });
-  reg.RegisterGauge(prefix + "lock.blocked",
-                    [this] { return lock_manager_.stats().blocked; });
-  reg.RegisterGauge(prefix + "lock.deadlocks",
-                    [this] { return lock_manager_.stats().deadlocks; });
-  reg.RegisterGauge(prefix + "lock.timeouts",
-                    [this] { return lock_manager_.stats().timeouts; });
-  reg.RegisterGauge(prefix + "lock.coop_parks",
-                    [this] { return lock_manager_.stats().coop_parks; });
-  reg.RegisterGauge(prefix + "lock.wakeups",
-                    [this] { return lock_manager_.stats().wakeups; });
-  reg.RegisterHistogram(prefix + "lock.wait_us",
-                        &lock_manager_.wait_histogram());
-  reg.RegisterHistogram(prefix + "lock.park_wakeup_us",
-                        &lock_manager_.park_wakeup_histogram());
+  lock_manager_.RegisterMetrics(reg, prefix + "lock.");
 }
 
 std::string LockingEngine::DebugDump() const {

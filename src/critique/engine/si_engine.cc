@@ -13,13 +13,17 @@ std::optional<Value> HistoryValue(const std::optional<Row>& row) {
 }  // namespace
 
 SnapshotIsolationEngine::SnapshotIsolationEngine(
-    SnapshotIsolationOptions options)
-    : options_(options), store_(MakeVersionStore(StorageBackend::kMap)) {
+    IsolationLevel level, SnapshotIsolationOptions options)
+    : level_(level),
+      options_(options),
+      store_(MakeVersionStore(StorageBackend::kMap)) {
   store_->DiscourageUnhinted();
 }
 
 void SnapshotIsolationEngine::SetConcurrency(EngineConcurrency c) {
   Engine::SetConcurrency(c);
+  (void)lock_manager_.SetStripeCount(c.lock_stripes);
+  lock_manager_.SetWakeupHook(concurrency().lock_wakeup);
   std::unique_lock<std::shared_mutex> sl(store_mu_);
   if (store_->backend() == c.storage_backend) return;  // idempotent re-set
   store_ = MakeVersionStore(c.storage_backend);
@@ -40,15 +44,18 @@ Status SnapshotIsolationEngine::Begin(TxnId txn) {
 Status SnapshotIsolationEngine::BeginWithLevel(TxnId txn,
                                                IsolationLevel level) {
   const bool honored =
-      level == IsolationLevel::kReadCommitted ||
-      level == IsolationLevel::kSnapshotIsolation ||
-      (level == IsolationLevel::kSerializableSI && options_.ssi);
+      level_ == IsolationLevel::kOracleReadConsistency
+          ? level == IsolationLevel::kOracleReadConsistency
+          : level == IsolationLevel::kReadCommitted ||
+                level == IsolationLevel::kSnapshotIsolation ||
+                (level == IsolationLevel::kSerializableSI && ssi());
   if (!honored) {
     return Status::FailedPrecondition(
         name() + " cannot honor a per-transaction " +
         IsolationLevelName(level) + " contract" +
-        (level == IsolationLevel::kSerializableSI
-             ? " without the SSI certifier (SnapshotIsolationOptions::ssi)"
+        (level == IsolationLevel::kSerializableSI &&
+                 level_ == IsolationLevel::kSnapshotIsolation
+             ? " without the SSI certifier (native level Serializable SI)"
              : ""));
   }
   std::unique_lock<std::shared_mutex> tl(table_mu_);
@@ -56,6 +63,9 @@ Status SnapshotIsolationEngine::BeginWithLevel(TxnId txn,
 }
 
 Status SnapshotIsolationEngine::BeginAt(TxnId txn, Timestamp ts) {
+  if (level_ == IsolationLevel::kOracleReadConsistency) {
+    return Engine::BeginAt(txn, ts);  // per-statement reads: no snapshot
+  }
   std::unique_lock<std::shared_mutex> tl(table_mu_);
   return BeginAtLocked(txn, ts, level());
 }
@@ -115,15 +125,29 @@ Status SnapshotIsolationEngine::CheckPrepared(TxnId txn) const {
   return Status::OK();
 }
 
-Status SnapshotIsolationEngine::AbortInternal(TxnId txn, Status reason,
-                                              uint64_t EngineStats::*counter,
-                                              obs::AbortReason why) {
+void SnapshotIsolationEngine::Rollback(TxnId txn,
+                                       uint64_t EngineStats::*counter) {
   TxnState& st = txns_.find(txn)->second;
   {
     std::unique_lock<std::shared_mutex> sl(store_mu_);
     store_->AbortTxn(txn, st.write_set);
     recorder_.Record(Action::Abort(txn), counter);  // under the latch
   }
+  {
+    auto el = SsiLock();
+    st.active = false;
+    st.aborted = true;
+    st.prepared = false;
+    st.write_set.clear();  // an aborted write set feeds no rw edge
+  }
+  st.redo.clear();
+  if (TakesWriteLocks(st)) lock_manager_.ReleaseAll(txn);
+}
+
+Status SnapshotIsolationEngine::AbortInternal(TxnId txn, Status reason,
+                                              uint64_t EngineStats::*counter,
+                                              obs::AbortReason why) {
+  Rollback(txn, counter);
   // Breakdown by the paper's taxonomy: only serialization aborts split
   // (coordinator-decided AbortPrepared traces kInDoubtDecision but counts
   // as a plain abort).
@@ -144,13 +168,6 @@ Status SnapshotIsolationEngine::AbortInternal(TxnId txn, Status reason,
   }
   Trace(txn, obs::TraceEventType::kAbort, why,
         reason.ok() ? std::string() : std::string(reason.message()));
-  {
-    auto el = SsiLock();
-    st.active = false;
-    st.aborted = true;
-    st.prepared = false;
-  }
-  st.redo.clear();
   return reason;
 }
 
@@ -278,7 +295,7 @@ bool SnapshotIsolationEngine::CompletedPivotInDoubt(const TxnState& st) const {
 
 std::optional<std::string> SnapshotIsolationEngine::SsiRefusal(TxnId txn,
                                                                bool decision) {
-  if (!options_.ssi) return std::nullopt;
+  if (!ssi()) return std::nullopt;
   std::lock_guard<std::mutex> el(ssi_mu_);
   const TxnState& st = txns_.find(txn)->second;
   // A transaction is refused as a pivot only under its own declared
@@ -328,10 +345,9 @@ Result<std::optional<Row>> SnapshotIsolationEngine::DoRead(TxnId txn,
     }
     recorder_.Record(std::move(a), &EngineStats::reads);
   }
-  {
-    auto el = SsiLock();
-    st.read_set.insert(id);
-    if (options_.ssi) TrackReadConflicts(txn, id);
+  if (ssi()) {
+    std::lock_guard<std::mutex> el(ssi_mu_);
+    TrackReadConflicts(txn, id);
   }
   return row;
 }
@@ -342,10 +358,26 @@ Result<std::optional<Row>> SnapshotIsolationEngine::Read(TxnId txn,
   return DoRead(txn, id, Action::Type::kRead);
 }
 
+Result<LockHandle> SnapshotIsolationEngine::LockItem(TableLock& tl, TxnId txn,
+                                                     const ItemId& id) {
+  // No row images: ORC takes no predicate locks, so its conflicts are
+  // decided by item identity alone.
+  return AcquireLockWithProtocol(
+      lock_manager_, tl,
+      LockSpec::WriteItem(txn, id, std::nullopt, std::nullopt),
+      concurrency_.lock_wait_timeout, [&] { Rollback(txn, nullptr); });
+}
+
 Result<std::optional<Row>> SnapshotIsolationEngine::FetchCursor(
     TxnId txn, const ItemId& id) {
-  // Snapshot reads never block; a cursor adds nothing under SI.
-  std::shared_lock<std::shared_mutex> tl(table_mu_);
+  TableLock tl(table_mu_);
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  // Snapshot reads never block; a cursor adds nothing under SI.  ORC's
+  // fetch is SELECT ... FOR UPDATE: the Write lock at fetch is what rules
+  // out P4C.
+  if (TakesWriteLocks(txns_.find(txn)->second)) {
+    CRITIQUE_RETURN_NOT_OK(LockItem(tl, txn, id).status());
+  }
   return DoRead(txn, id, Action::Type::kCursorRead);
 }
 
@@ -368,28 +400,25 @@ SnapshotIsolationEngine::ReadPredicate(TxnId txn, const std::string& name,
     // Appended under the store latch (see DoRead).
     recorder_.Record(std::move(a), &EngineStats::predicate_reads);
   }
-  {
-    auto el = SsiLock();
+  if (ssi()) {
+    std::lock_guard<std::mutex> el(ssi_mu_);
     for (const auto& [id, row] : rows) {
       (void)row;
-      st.read_set.insert(id);
-      if (options_.ssi) TrackReadConflicts(txn, id);
+      TrackReadConflicts(txn, id);
     }
-    if (options_.ssi) {
-      // Phantom-precise SIREAD: remember the predicate itself, plus rw
-      // edges to concurrent transactions whose pending/later writes
-      // already fall under it.  One store acquisition covers the whole
-      // scan (lock order ssi_mu_ < store_mu_).
-      predicate_readers_.emplace_back(pred, txn);
-      std::shared_lock<std::shared_mutex> sl(store_mu_);
-      for (auto& [u, ust] : txns_) {
-        if (u == txn || ust.aborted || !Concurrent(st, ust)) continue;
-        for (const ItemId& wid : ust.write_set) {
-          std::optional<Version> vi =
-              store_->ReadVersionInfo(wid, ~Timestamp{0}, u);
-          if (vi.has_value() && !vi->tombstone && pred.Covers(wid, vi->row)) {
-            AddRwEdge(txn, u);
-          }
+    // Phantom-precise SIREAD: remember the predicate itself, plus rw
+    // edges to concurrent transactions whose pending/later writes
+    // already fall under it.  One store acquisition covers the whole
+    // scan (lock order ssi_mu_ < store_mu_).
+    predicate_readers_.emplace_back(pred, txn);
+    std::shared_lock<std::shared_mutex> sl(store_mu_);
+    for (auto& [u, ust] : txns_) {
+      if (u == txn || ust.aborted || !Concurrent(st, ust)) continue;
+      for (const ItemId& wid : ust.write_set) {
+        std::optional<Version> vi =
+            store_->ReadVersionInfo(wid, ~Timestamp{0}, u);
+        if (vi.has_value() && !vi->tombstone && pred.Covers(wid, vi->row)) {
+          AddRwEdge(txn, u);
         }
       }
     }
@@ -397,11 +426,44 @@ SnapshotIsolationEngine::ReadPredicate(TxnId txn, const std::string& name,
   return rows;
 }
 
-Status SnapshotIsolationEngine::DoWrite(TxnId txn, const ItemId& id,
+Status SnapshotIsolationEngine::CheckWritable(TxnId txn, const ItemId& id,
+                                              bool is_insert) const {
+  const Timestamp read_ts = ReadTs(txns_.find(txn)->second);
+  bool present;
+  {
+    std::shared_lock<std::shared_mutex> sl(store_mu_);
+    present = store_->Read(id, read_ts, txn).has_value();
+  }
+  if (is_insert && present) {
+    return Status::FailedPrecondition("insert: item '" + id +
+                                      "' visible in snapshot");
+  }
+  if (!is_insert && !present) {
+    return Status::NotFound("delete: item '" + id + "' not visible");
+  }
+  return Status::OK();
+}
+
+Status SnapshotIsolationEngine::DoWrite(TableLock& tl, TxnId txn,
+                                        const ItemId& id,
                                         std::optional<Row> new_row,
-                                        Action::Type type, bool is_insert) {
+                                        Action::Type type, bool is_insert,
+                                        bool locked) {
   CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
   TxnState& st = txns_.find(txn)->second;
+  if (TakesWriteLocks(st) && !locked) {
+    CRITIQUE_ASSIGN_OR_RETURN(LockHandle h, LockItem(tl, txn, id));
+    // A blocking wait released the table latch, so an Insert/Delete
+    // precondition checked before it may have been decided by a
+    // concurrent committer; the granted lock makes the re-check stable.
+    if (is_insert || !new_row.has_value()) {
+      Status s = CheckWritable(txn, id, is_insert);
+      if (!s.ok()) {
+        lock_manager_.Release(h);
+        return s;
+      }
+    }
+  }
 
   bool eager_conflict = false;
   std::optional<Row> before;
@@ -441,45 +503,49 @@ Status SnapshotIsolationEngine::DoWrite(TxnId txn, const ItemId& id,
   {
     auto el = SsiLock();
     st.write_set.insert(id);
-    if (options_.ssi) TrackWriteConflicts(txn, id, before, new_row);
+    if (ssi()) TrackWriteConflicts(txn, id, before, new_row);
   }
   if (wal_ != nullptr) st.redo[id] = std::move(new_row);
   return Status::OK();
 }
 
 Status SnapshotIsolationEngine::Write(TxnId txn, const ItemId& id, Row row) {
-  std::shared_lock<std::shared_mutex> tl(table_mu_);
-  return DoWrite(txn, id, std::move(row), Action::Type::kWrite,
+  TableLock tl(table_mu_);
+  return DoWrite(tl, txn, id, std::move(row), Action::Type::kWrite,
                  /*is_insert=*/false);
 }
 
 Status SnapshotIsolationEngine::Insert(TxnId txn, const ItemId& id, Row row) {
-  std::shared_lock<std::shared_mutex> tl(table_mu_);
+  TableLock tl(table_mu_);
   CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-  const Timestamp read_ts = ReadTs(txns_.find(txn)->second);
-  {
-    std::shared_lock<std::shared_mutex> sl(store_mu_);
-    if (store_->Read(id, read_ts, txn).has_value()) {
-      return Status::FailedPrecondition("insert: item '" + id +
-                                        "' visible in snapshot");
-    }
-  }
-  return DoWrite(txn, id, std::move(row), Action::Type::kWrite,
+  CRITIQUE_RETURN_NOT_OK(CheckWritable(txn, id, /*is_insert=*/true));
+  return DoWrite(tl, txn, id, std::move(row), Action::Type::kWrite,
                  /*is_insert=*/true);
 }
 
 Status SnapshotIsolationEngine::Delete(TxnId txn, const ItemId& id) {
-  std::shared_lock<std::shared_mutex> tl(table_mu_);
+  TableLock tl(table_mu_);
   CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-  const Timestamp read_ts = ReadTs(txns_.find(txn)->second);
-  {
-    std::shared_lock<std::shared_mutex> sl(store_mu_);
-    if (!store_->Read(id, read_ts, txn).has_value()) {
-      return Status::NotFound("delete: item '" + id + "' not visible");
-    }
-  }
-  return DoWrite(txn, id, std::nullopt, Action::Type::kWrite,
+  CRITIQUE_RETURN_NOT_OK(CheckWritable(txn, id, /*is_insert=*/false));
+  return DoWrite(tl, txn, id, std::nullopt, Action::Type::kWrite,
                  /*is_insert=*/false);
+}
+
+Status SnapshotIsolationEngine::Update(
+    TxnId txn, const ItemId& id,
+    const std::function<Row(const std::optional<Row>&)>& transform) {
+  TableLock tl(table_mu_);
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  // ORC's statement-level write consistency: lock first, then apply the
+  // transform to the most recent committed value ("the underlying
+  // mechanism recomputes the appropriate version of the row as of the
+  // statement timestamp").
+  const bool locks = TakesWriteLocks(txns_.find(txn)->second);
+  if (locks) CRITIQUE_RETURN_NOT_OK(LockItem(tl, txn, id).status());
+  CRITIQUE_ASSIGN_OR_RETURN(std::optional<Row> current,
+                            DoRead(txn, id, Action::Type::kRead));
+  return DoWrite(tl, txn, id, transform(current), Action::Type::kWrite,
+                 /*is_insert=*/false, /*locked=*/locks);
 }
 
 Result<size_t> SnapshotIsolationEngine::UpdateWhere(
@@ -488,6 +554,11 @@ Result<size_t> SnapshotIsolationEngine::UpdateWhere(
   std::shared_lock<std::shared_mutex> tl(table_mu_);
   CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
   TxnState& st = txns_.find(txn)->second;
+  if (TakesWriteLocks(st)) {
+    // Item by item, so every row is written under its Write lock.
+    tl.unlock();
+    return Engine::UpdateWhere(txn, name, pred, transform);
+  }
   std::vector<std::pair<ItemId, Row>> rows;
   std::vector<Row> nexts;
   {
@@ -510,7 +581,7 @@ Result<size_t> SnapshotIsolationEngine::UpdateWhere(
     auto el = SsiLock();
     for (size_t i = 0; i < rows.size(); ++i) {
       st.write_set.insert(rows[i].first);
-      if (options_.ssi) {
+      if (ssi()) {
         TrackWriteConflicts(txn, rows[i].first, rows[i].second, nexts[i]);
       }
     }
@@ -527,6 +598,10 @@ Result<size_t> SnapshotIsolationEngine::DeleteWhere(TxnId txn,
   std::shared_lock<std::shared_mutex> tl(table_mu_);
   CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
   TxnState& st = txns_.find(txn)->second;
+  if (TakesWriteLocks(st)) {
+    tl.unlock();
+    return Engine::DeleteWhere(txn, name, pred);
+  }
   std::vector<std::pair<ItemId, Row>> rows;
   {
     std::unique_lock<std::shared_mutex> sl(store_mu_);
@@ -546,7 +621,7 @@ Result<size_t> SnapshotIsolationEngine::DeleteWhere(TxnId txn,
     auto el = SsiLock();
     for (const auto& [id, row] : rows) {
       st.write_set.insert(id);
-      if (options_.ssi) TrackWriteConflicts(txn, id, row, std::nullopt);
+      if (ssi()) TrackWriteConflicts(txn, id, row, std::nullopt);
     }
   }
   if (wal_ != nullptr) {
@@ -560,8 +635,8 @@ Result<size_t> SnapshotIsolationEngine::DeleteWhere(TxnId txn,
 
 Status SnapshotIsolationEngine::WriteCursor(TxnId txn, const ItemId& id,
                                             Row row) {
-  std::shared_lock<std::shared_mutex> tl(table_mu_);
-  return DoWrite(txn, id, std::move(row), Action::Type::kCursorWrite,
+  TableLock tl(table_mu_);
+  return DoWrite(tl, txn, id, std::move(row), Action::Type::kCursorWrite,
                  /*is_insert=*/false);
 }
 
@@ -593,9 +668,11 @@ Status SnapshotIsolationEngine::ValidateAndReserve(TxnId txn) {
   // A Read Committed transaction declared no lost-update protection: its
   // statements already read the latest committed state, so the interval
   // probe is skipped and overwriting a concurrent commit is its permitted
-  // anomaly (P4), not a serialization failure.
+  // anomaly (P4), not a serialization failure.  ORC skips it too: its
+  // Write locks already ordered every overlapping writer
+  // (First-Writer-Wins), and the write installed over the latest commit.
   std::optional<ItemId> fcw_conflict;
-  if (st.level != IsolationLevel::kReadCommitted) {
+  if (!PerStatement(st.level)) {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
     for (const ItemId& id : st.write_set) {
       if (store_->LatestCommitTs(id) > st.start_ts) {
@@ -696,16 +773,19 @@ Status SnapshotIsolationEngine::RevalidateAndPublish(
   }
   st.redo.clear();
   ReleaseReservations(txn);
+  if (!ssi()) st.write_set.clear();  // only SSI edges read it after commit
   Trace(txn, obs::TraceEventType::kCommit);
   return Status::OK();
 }
 
 Status SnapshotIsolationEngine::Commit(TxnId txn) {
   // Commit-pipeline stage 1: validate and reserve.
+  bool locks = false;
   {
     obs::ScopedTimer t(stage1_hist_);
     std::shared_lock<std::shared_mutex> tl(table_mu_);
     CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+    locks = TakesWriteLocks(txns_.find(txn)->second);
     std::lock_guard<std::mutex> cl(commit_mu_);
     CRITIQUE_RETURN_NOT_OK(ValidateAndReserve(txn));
   }
@@ -727,6 +807,9 @@ Status SnapshotIsolationEngine::Commit(TxnId txn) {
         RevalidateAndPublish(txn, /*decision=*/false, &wal_lsn));
     gc_due = GcTick();
   }
+  // ORC's Write locks outlive publication, so a waiter granted one reads
+  // this commit; no engine latch is held across the release.
+  if (locks) lock_manager_.ReleaseAll(txn);
   if (gc_due) (void)RunGcPass();
   // The durability wait runs with no engine latch held: other sessions
   // keep validating and publishing while this one sits out the fsync (and,
@@ -780,11 +863,13 @@ Status SnapshotIsolationEngine::Prepare(TxnId txn) {
 
 Status SnapshotIsolationEngine::CommitPrepared(TxnId txn) {
   bool gc_due = false;
+  bool locks = false;
   std::optional<uint64_t> wal_lsn;
   {
     obs::ScopedTimer t(stage2_hist_);
     std::shared_lock<std::shared_mutex> tl(table_mu_);
     CRITIQUE_RETURN_NOT_OK(CheckPrepared(txn));
+    locks = TakesWriteLocks(txns_.find(txn)->second);
     std::lock_guard<std::mutex> cl(commit_mu_);
     // Stage 2 at the decision phase: a dangerous structure that completed
     // while in doubt aborts the participant here (kSerializationFailure;
@@ -794,6 +879,7 @@ Status SnapshotIsolationEngine::CommitPrepared(TxnId txn) {
         RevalidateAndPublish(txn, /*decision=*/true, &wal_lsn));
     gc_due = GcTick();
   }
+  if (locks) lock_manager_.ReleaseAll(txn);  // see Commit
   if (gc_due) (void)RunGcPass();
   if (wal_lsn.has_value()) return wal_->WaitDurable(*wal_lsn);
   return Status::OK();
@@ -838,11 +924,14 @@ size_t SnapshotIsolationEngine::RunGcPass() {
     // in-doubt participants and mid-pipeline committers are active and
     // count), else "now".  Every version superseded at or below it is
     // invisible to all live snapshots, and future snapshots only begin at
-    // >= now.
+    // >= now.  A native-ORC engine holds no snapshot at all (every
+    // statement reads "now") and no SSI state, so its watermark is "now".
     Timestamp watermark = clock_.Now();
-    for (const auto& [t, st] : txns_) {
-      (void)t;
-      if (st.active && st.start_ts < watermark) watermark = st.start_ts;
+    if (level_ != IsolationLevel::kOracleReadConsistency) {
+      for (const auto& [t, st] : txns_) {
+        (void)t;
+        if (st.active && st.start_ts < watermark) watermark = st.start_ts;
+      }
     }
     {
       std::unique_lock<std::shared_mutex> sl(store_mu_);
@@ -944,6 +1033,9 @@ void SnapshotIsolationEngine::RegisterMetrics(obs::MetricsRegistry& reg,
   });
   reg.RegisterHistogram(prefix + "pipeline.validate_us", &stage1_hist_);
   reg.RegisterHistogram(prefix + "pipeline.publish_us", &stage2_hist_);
+  if (level_ == IsolationLevel::kOracleReadConsistency) {
+    lock_manager_.RegisterMetrics(reg, prefix + "lock.");
+  }
   // Hint-free (full-store-scan) commit/abort counters: nonzero means some
   // call site regressed to the slow path the write-set hints exist to avoid.
   reg.RegisterGauge(prefix + "storage.unhinted_commits", [this] {
@@ -954,6 +1046,11 @@ void SnapshotIsolationEngine::RegisterMetrics(obs::MetricsRegistry& reg,
     std::shared_lock<std::shared_mutex> sl(store_mu_);
     return store_->unhinted_aborts();
   });
+}
+
+std::string SnapshotIsolationEngine::DebugDump() const {
+  if (level_ != IsolationLevel::kOracleReadConsistency) return std::string();
+  return lock_manager_.DebugSnapshot().ToString();
 }
 
 size_t SnapshotIsolationEngine::GarbageCollectVersions() {

@@ -14,6 +14,7 @@
 
 #include "critique/common/clock.h"
 #include "critique/engine/engine.h"
+#include "critique/lock/lock_manager.h"
 #include "critique/storage/version_store.h"
 
 namespace critique {
@@ -24,12 +25,6 @@ struct SnapshotIsolationOptions {
   /// active transaction holds a pending version of the item (instead of
   /// waiting for the paper's commit-time First-Committer-Wins check).
   bool eager_write_conflicts = false;
-
-  /// Serializable Snapshot Isolation extension: track rw anti-dependencies
-  /// (the hazard this paper's write-skew analysis exposed; made precise by
-  /// Cahill et al. 2008) and abort pivot transactions at commit.  May
-  /// abort false positives; never admits an rw-only cycle.
-  bool ssi = false;
 };
 
 /// What the commit pipeline has done so far (observability for tests and
@@ -46,14 +41,31 @@ struct CommitPipelineStats {
   uint64_t decision_aborts = 0;
 };
 
-/// \brief Snapshot Isolation (Section 4.2): every transaction reads from
-/// the committed snapshot at its Start-Timestamp, sees its own writes, and
-/// commits only if no concurrent committed transaction wrote the same data
-/// (First-Committer-Wins).
+/// \brief The multiversion engine: Snapshot Isolation (Section 4.2), its
+/// Serializable-SI extension, and Oracle Read Consistency (Section 4.3),
+/// selected by the native level the engine is built with.
 ///
-/// "A transaction running in Snapshot Isolation is never blocked attempting
-/// a read": no operation of this engine ever returns kWouldBlock; conflicts
-/// surface only as kSerializationFailure aborts.
+///  * Snapshot Isolation: every transaction reads from the committed
+///    snapshot at its Start-Timestamp, sees its own writes, and commits
+///    only if no concurrent committed transaction wrote the same data
+///    (First-Committer-Wins).  "A transaction running in Snapshot
+///    Isolation is never blocked attempting a read": no SI operation ever
+///    returns kWouldBlock; conflicts surface only as kSerializationFailure
+///    aborts.
+///  * Serializable SI: SI plus rw-antidependency tracking (the hazard this
+///    paper's write-skew analysis exposed; made precise by Cahill et al.
+///    2008), aborting pivot transactions at commit.  May abort false
+///    positives; never admits an rw-only cycle.
+///  * Oracle Read Consistency: SI with two policy changes.  "Each SQL
+///    statement [sees] the most recent committed database value at the
+///    time the statement began" (the start timestamp advances at every
+///    statement, as at Read Committed), and a long item Write lock taken
+///    at the write replaces First-Committer-Wins (First-*Writer*-Wins).
+///    `FetchCursor` locks the row at fetch (SELECT ... FOR UPDATE, so no
+///    P4C) and `Update` applies its transform to the latest committed
+///    value once the lock is granted; P2/P3, application-level P4 and
+///    A5A stay possible.  ORC is the only level that touches the lock
+///    table, so SI/SSI transactions never wait.
 ///
 /// Latching (thread-safe per the `Engine` contract, without an engine-wide
 /// latch): disjoint sessions no longer queue behind one mutex.
@@ -75,6 +87,10 @@ struct CommitPipelineStats {
 ///    timestamp is drawn *inside* the publication's exclusive section, so
 ///    any snapshot that could observe the timestamp observes the stamped
 ///    versions too (no torn visibility).
+///
+///  * `lock_manager_` — ORC's item Write locks (internally striped).  A
+///    lock wait in blocking mode parks with `table_mu_` dropped, as in the
+///    locking engine, and no other engine latch is held across it.
 ///
 /// Lock order: table_mu_ < commit_mu_ < ssi_mu_ < store_mu_ (never
 /// acquired against this order; non-nested sequential sections are free).
@@ -103,22 +119,24 @@ struct CommitPipelineStats {
 /// of publishing a non-serializable commit (see the 2PC notes below).
 class SnapshotIsolationEngine : public Engine {
  public:
-  explicit SnapshotIsolationEngine(SnapshotIsolationOptions options = {});
+  /// `level` is the native level: kSnapshotIsolation, kSerializableSI or
+  /// kOracleReadConsistency.
+  explicit SnapshotIsolationEngine(
+      IsolationLevel level = IsolationLevel::kSnapshotIsolation,
+      SnapshotIsolationOptions options = {});
 
-  IsolationLevel level() const override {
-    return options_.ssi ? IsolationLevel::kSerializableSI
-                        : IsolationLevel::kSnapshotIsolation;
-  }
+  IsolationLevel level() const override { return level_; }
 
   Status Load(const ItemId& id, Row row) override;
   Status Begin(TxnId txn) override;
 
-  /// Per-transaction isolation contracts inside one engine: Read Committed
-  /// (each statement reads the latest committed snapshot, no
-  /// First-Committer-Wins check) and Snapshot Isolation are always
-  /// honored; Serializable-SI is honored only when the engine runs the SSI
-  /// certifier (`options().ssi`), since only then are the rw edges
-  /// tracked.  Every transaction — whatever its declared level — still
+  /// Per-transaction isolation contracts inside one engine: an SI or SSI
+  /// engine honors Read Committed (each statement reads the latest
+  /// committed snapshot, no First-Committer-Wins check) and Snapshot
+  /// Isolation; Serializable-SI only when the engine's native level is
+  /// SSI, since only then are the rw edges tracked.  An ORC engine honors
+  /// ORC alone, so lock-taking and lock-free transactions never share an
+  /// engine.  Every transaction — whatever its declared level — still
   /// participates in the others' bookkeeping (its writes feed FCW probes,
   /// its reads feed SSI edges), so weak transactions never weaken a
   /// stronger neighbour's guarantee.
@@ -127,9 +145,13 @@ class SnapshotIsolationEngine : public Engine {
   /// Time travel (Section 4.2): begin a transaction whose snapshot is the
   /// historical timestamp `ts` ("taking a historical perspective of the
   /// database — while never blocking or being blocked by writes").
+  /// Refused at native ORC, whose reads are per-statement.
   Status BeginAt(TxnId txn, Timestamp ts) override;
 
+  /// "Now" at SI/SSI; nullopt at native ORC, which keeps no snapshot a
+  /// transaction could pin.
   std::optional<Timestamp> SnapshotTimestamp() const override {
+    if (level_ == IsolationLevel::kOracleReadConsistency) return std::nullopt;
     return clock_.Now();
   }
 
@@ -147,6 +169,11 @@ class SnapshotIsolationEngine : public Engine {
   Result<std::optional<Row>> FetchCursor(TxnId txn, const ItemId& id) override;
   Status WriteCursor(TxnId txn, const ItemId& id, Row row) override;
   Status CloseCursor(TxnId txn) override;
+  /// ORC: statement-level write consistency — lock first, then transform
+  /// the latest committed value.  Other levels: the base Read-then-Write.
+  Status Update(TxnId txn, const ItemId& id,
+                const std::function<Row(const std::optional<Row>&)>& transform)
+      override;
   Status Commit(TxnId txn) override;
   Status Abort(TxnId txn) override;
 
@@ -174,7 +201,8 @@ class SnapshotIsolationEngine : public Engine {
   // terminal either way), and `AbortPrepared` is unaffected.  Engines
   // whose prepare pins every conflict under locks still promise an
   // infallible CommitPrepared; a *certifying* engine cannot, because
-  // certification is only complete at publication.
+  // certification is only complete at publication.  An ORC participant
+  // additionally keeps its Write locks through the in-doubt window.
   Status Prepare(TxnId txn) override;
   Status CommitPrepared(TxnId txn) override;
   Status AbortPrepared(TxnId txn) override;
@@ -185,14 +213,16 @@ class SnapshotIsolationEngine : public Engine {
 
   // Version GC.  The low-watermark is the smallest begin timestamp of any
   // transaction still open on this engine (prepared in-doubt participants
-  // included), else "now": versions superseded at or below it are
-  // invisible to every live and future snapshot.  In `kWatermark` mode a
-  // pass runs automatically every `commit_interval` commits (the epoch),
-  // finished transaction states and their SSI SIREAD bookkeeping are
-  // retired alongside the versions, and `BeginAt` below the collected
-  // floor is refused — time travel is never answered from a pruned chain.
-  // In `kRetainAll` (the default) nothing is pruned unless a pass is
-  // requested explicitly.
+  // and Read Committed readers included: SSI's committed-pivot check needs
+  // their neighbours' states), else "now"; at native ORC, whose statements
+  // never read below it, it is always "now".  Versions superseded at or
+  // below it are invisible to every live and future snapshot.  In
+  // `kWatermark` mode a pass runs automatically every `commit_interval`
+  // commits (the epoch), finished transaction states and their SSI SIREAD
+  // bookkeeping are retired alongside the versions, and `BeginAt` below
+  // the collected floor is refused — time travel is never answered from a
+  // pruned chain.  In `kRetainAll` (the default) nothing is pruned unless
+  // a pass is requested explicitly.
 
   /// Runs one GC pass now; returns the number of versions discarded.
   size_t GarbageCollectVersions() override;
@@ -217,6 +247,8 @@ class SnapshotIsolationEngine : public Engine {
   /// legal before any data is loaded — re-announcing the backend already
   /// in force (as `Database::SetLockWakeupHook` does when it re-runs
   /// SetConcurrency) is a no-op that never touches the store.
+  /// Also applies `c.lock_stripes` and `c.lock_wakeup` to the ORC lock
+  /// table.
   void SetConcurrency(EngineConcurrency c) override;
 
   VersionGcStats version_gc_stats() const override {
@@ -237,9 +269,16 @@ class SnapshotIsolationEngine : public Engine {
     return pipeline_stats_;
   }
 
-  /// Base gauges plus pipeline counters and per-stage latency histograms.
+  /// Base gauges plus pipeline counters and per-stage latency histograms
+  /// (and, at native ORC, the lock table's `lock.*` instruments).
   void RegisterMetrics(obs::MetricsRegistry& reg,
                        const std::string& prefix) override;
+
+  /// ORC lock holders, waiters, and waits-for edges; "" at SI/SSI.
+  std::string DebugDump() const override;
+
+  /// ORC lock-table counters (all zero at SI/SSI).
+  LockStats lock_stats() const { return lock_manager_.stats(); }
 
   /// Commit-pipeline stage-1 (validate + reserve) latency, microseconds.
   const obs::Histogram& validate_histogram() const { return stage1_hist_; }
@@ -268,8 +307,9 @@ class SnapshotIsolationEngine : public Engine {
     /// for the coordinator's decision.
     bool prepared = false;
     /// Declared isolation contract (BeginWithLevel); governs read
-    /// timestamps (RC reads per-statement), the FCW probe (skipped at
-    /// RC), and which transactions the SSI certifier refuses as pivots.
+    /// timestamps (RC and ORC read per-statement), the FCW probe (skipped
+    /// at RC and ORC), ORC's Write locks, and which transactions the SSI
+    /// certifier refuses as pivots.
     IsolationLevel level = IsolationLevel::kSnapshotIsolation;
     Timestamp start_ts = kInvalidTimestamp;
     Timestamp commit_ts = kInvalidTimestamp;
@@ -278,8 +318,10 @@ class SnapshotIsolationEngine : public Engine {
     /// GC.  Keeps the dangerous-structure completion check sound after
     /// the successor's state is gone.
     bool committed_first_out = false;
+    /// Items with pending versions.  Cleared once the transaction ends,
+    /// except for a committed SSI transaction, whose writes still feed
+    /// its neighbours' rw edges.
     std::set<ItemId> write_set;
-    std::set<ItemId> read_set;
     /// Redo after-images (nullopt = tombstone), collected only while a WAL
     /// sink is attached; drained into a kWriteSet record at Prepare or
     /// immediately before the kCommit append.  Owner-thread-only.
@@ -297,23 +339,43 @@ class SnapshotIsolationEngine : public Engine {
   /// Requires `table_mu_` exclusive.
   Status BeginAtLocked(TxnId txn, Timestamp ts, IsolationLevel level);
 
-  /// The snapshot a read of `st` uses *now*: the begin snapshot, except
-  /// at Read Committed, where each statement reads the latest committed
-  /// state ("read committed data" — no repeatable-read promise).
-  Timestamp ReadTs(const TxnState& st) const {
-    return st.level == IsolationLevel::kReadCommitted ? clock_.Now()
-                                                      : st.start_ts;
+  /// True for the levels whose statements each read the latest committed
+  /// state and that skip First-Committer-Wins: Read Committed and ORC.
+  static bool PerStatement(IsolationLevel level) {
+    return level == IsolationLevel::kReadCommitted ||
+           level == IsolationLevel::kOracleReadConsistency;
   }
+
+  /// The snapshot a read of `st` uses *now*: the begin snapshot, except
+  /// at the per-statement levels ("read committed data" — no
+  /// repeatable-read promise).
+  Timestamp ReadTs(const TxnState& st) const {
+    return PerStatement(st.level) ? clock_.Now() : st.start_ts;
+  }
+
+  bool ssi() const { return level_ == IsolationLevel::kSerializableSI; }
+
+  /// ORC transactions take long item Write locks; no other level touches
+  /// the lock table.
+  static bool TakesWriteLocks(const TxnState& st) {
+    return st.level == IsolationLevel::kOracleReadConsistency;
+  }
+
   /// Require `table_mu_` shared (the entry is read by its own session).
   Status CheckActive(TxnId txn) const;
   Status CheckPrepared(TxnId txn) const;
 
-  /// Rolls `txn` back (store abort + state flags + `a<t>` record), charging
-  /// `counter`, and records the abort's paper-taxonomy tag: the matching
-  /// `EngineStats` breakdown counter (serialization aborts only) plus a
-  /// tracer event when a tracer is attached.  Requires `table_mu_` shared;
-  /// takes `ssi_mu_`/`store_mu_` internally, so the caller may hold
-  /// `commit_mu_` but neither of those.
+  /// Rolls `txn` back: discards its pending versions, records `a<t>`
+  /// (charging `counter` when non-null), marks the state aborted and
+  /// releases ORC Write locks.  Requires `table_mu_` shared; takes
+  /// `ssi_mu_`/`store_mu_` internally.
+  void Rollback(TxnId txn, uint64_t EngineStats::*counter);
+
+  /// `Rollback` charging `counter`, plus the abort's paper-taxonomy tag:
+  /// the matching `EngineStats` breakdown counter (serialization aborts
+  /// only) plus a tracer event when a tracer is attached.  Same latch
+  /// contract as `Rollback`, so the caller may hold `commit_mu_` but not
+  /// `ssi_mu_` or `store_mu_`.
   Status AbortInternal(TxnId txn, Status reason,
                        uint64_t EngineStats::*counter, obs::AbortReason why);
 
@@ -343,10 +405,24 @@ class SnapshotIsolationEngine : public Engine {
   /// pass is due (kWatermark mode).  Requires `commit_mu_`.
   bool GcTick();
 
+  using TableLock = std::shared_lock<std::shared_mutex>;
+
+  /// ORC's long item Write lock on `id` for `txn`.  May drop and re-take
+  /// `tl` around a blocking wait; a deadlock victim is rolled back.
+  Result<LockHandle> LockItem(TableLock& tl, TxnId txn, const ItemId& id);
+
+  /// The Insert (item absent) or Delete (item present) precondition,
+  /// against what `txn` reads now.  Requires `table_mu_` shared; takes
+  /// `store_mu_` shared.
+  Status CheckWritable(TxnId txn, const ItemId& id, bool is_insert) const;
+
   Result<std::optional<Row>> DoRead(TxnId txn, const ItemId& id,
                                     Action::Type type);
-  Status DoWrite(TxnId txn, const ItemId& id, std::optional<Row> new_row,
-                 Action::Type type, bool is_insert);
+  /// Requires `table_mu_` shared (`tl`).  At ORC, takes the Write lock
+  /// first unless `locked` (the caller already holds it).
+  Status DoWrite(TableLock& tl, TxnId txn, const ItemId& id,
+                 std::optional<Row> new_row, Action::Type type,
+                 bool is_insert, bool locked = false);
 
   // True when U (by state) was concurrent with T (by state): their
   // [start, commit] intervals overlap (an active transaction's commit is
@@ -384,7 +460,7 @@ class SnapshotIsolationEngine : public Engine {
   /// TxnState fields outside a table-exclusive section goes through it.
   std::unique_lock<std::mutex> SsiLock() {
     std::unique_lock<std::mutex> lk(ssi_mu_, std::defer_lock);
-    if (options_.ssi) lk.lock();
+    if (ssi()) lk.lock();
     return lk;
   }
 
@@ -399,6 +475,7 @@ class SnapshotIsolationEngine : public Engine {
   /// inside); call with no engine latch held.  Returns versions dropped.
   size_t RunGcPass();
 
+  const IsolationLevel level_;
   SnapshotIsolationOptions options_;
 
   /// Reader-writer latch over the transaction-table registry (see class
@@ -432,6 +509,7 @@ class SnapshotIsolationEngine : public Engine {
   uint32_t commits_since_gc_ = 0;           ///< commit_mu_
   std::atomic<Timestamp> gc_floor_{kInvalidTimestamp};
   VersionGcStats gc_stats_;                 ///< gc_stats_mu_
+  LockManager lock_manager_;                ///< ORC Write locks
   std::function<void(TxnId)> commit_window_hook_;  ///< test failpoint
 };
 

@@ -775,6 +775,20 @@ size_t LockManager::HeldCountBy(TxnId txn) const {
   return n;
 }
 
+void LockManager::RegisterMetrics(obs::MetricsRegistry& reg,
+                                  const std::string& prefix) const {
+  reg.RegisterGauge(prefix + "acquired", [this] { return stats().acquired; });
+  reg.RegisterGauge(prefix + "blocked", [this] { return stats().blocked; });
+  reg.RegisterGauge(prefix + "deadlocks",
+                    [this] { return stats().deadlocks; });
+  reg.RegisterGauge(prefix + "timeouts", [this] { return stats().timeouts; });
+  reg.RegisterGauge(prefix + "coop_parks",
+                    [this] { return stats().coop_parks; });
+  reg.RegisterGauge(prefix + "wakeups", [this] { return stats().wakeups; });
+  reg.RegisterHistogram(prefix + "wait_us", &wait_hist_);
+  reg.RegisterHistogram(prefix + "park_wakeup_us", &park_wakeup_hist_);
+}
+
 LockStats LockManager::stats() const {
   LockStats s;
   s.acquired = stat_acquired_.load(std::memory_order_relaxed);

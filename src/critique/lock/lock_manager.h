@@ -262,6 +262,13 @@ class LockManager {
     return park_wakeup_hist_;
   }
 
+  /// Registers the lock-table counters as gauges and the wait/park
+  /// histograms under `prefix` ("engine.lock." by convention) — the one
+  /// `lock.*` instrument set every lock-taking engine exports.  The
+  /// manager must outlive the registry entries.
+  void RegisterMetrics(obs::MetricsRegistry& reg,
+                       const std::string& prefix) const;
+
  private:
   /// Handles carry their bucket in the low byte (0 = the predicate side
   /// table, i+1 = bucket i), so `Release` goes straight to the right

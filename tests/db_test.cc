@@ -32,9 +32,8 @@ TEST(DatabaseTest, EngineFactorySpiPlugsInCustomEngine) {
   // The isolation field is ignored once a factory is supplied.
   options.isolation = IsolationLevel::kReadUncommitted;
   options.engine_factory = [] {
-    SnapshotIsolationOptions si;
-    si.ssi = true;
-    return std::make_unique<SnapshotIsolationEngine>(si);
+    return std::make_unique<SnapshotIsolationEngine>(
+        IsolationLevel::kSerializableSI);
   };
   Database db(options);
   EXPECT_EQ(db.level(), IsolationLevel::kSerializableSI);

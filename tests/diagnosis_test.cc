@@ -83,7 +83,8 @@ TEST(DiagnosisTest, EagerSIStillDiagnosesAsSI) {
   auto d = DiagnoseEngine([] {
     SnapshotIsolationOptions opts;
     opts.eager_write_conflicts = true;
-    return std::make_unique<SnapshotIsolationEngine>(opts);
+    return std::make_unique<SnapshotIsolationEngine>(
+        IsolationLevel::kSnapshotIsolation, opts);
   });
   ASSERT_TRUE(d.ok());
   bool si = false;

@@ -1,11 +1,13 @@
-// ReadConsistencyEngine tests: Oracle's statement-level snapshots,
-// First-Writer-Wins locking, and the Section 4.3 claims — stronger than
-// READ COMMITTED (no P4C), but P4 / A5A / P2 still possible.
+// Oracle Read Consistency tests (the multiversion engine at native level
+// ORC): statement-level snapshots, First-Writer-Wins locking, and the
+// Section 4.3 claims — stronger than READ COMMITTED (no P4C), but
+// P4 / A5A / P2 still possible.
 
 #include <gtest/gtest.h>
 
 #include "critique/analysis/phenomena.h"
-#include "critique/engine/read_consistency_engine.h"
+#include "critique/engine/engine_factory.h"
+#include "critique/engine/si_engine.h"
 #include "critique/exec/runner.h"
 
 namespace critique {
@@ -20,18 +22,30 @@ Value FinalScalar(Engine& engine, const ItemId& id, TxnId reader) {
 }
 
 
+std::unique_ptr<Engine> MakeEngine() {
+  return CreateEngine(IsolationLevel::kOracleReadConsistency);
+}
+
 // Wraps a read-consistency engine in a session facade; tests reach the
 // raw engine through db.engine() for statement-snapshot assertions.
 Database MakeDb() {
   DbOptions options;
   options.engine_factory = [] {
-    return std::make_unique<ReadConsistencyEngine>();
+    return CreateEngine(IsolationLevel::kOracleReadConsistency);
   };
   return Database(options);
 }
 
+TEST(RCEngineTest, FactoryBuildsTheMultiversionEngineAtNativeOrc) {
+  std::unique_ptr<Engine> orc = MakeEngine();
+  auto* mv = dynamic_cast<SnapshotIsolationEngine*>(orc.get());
+  ASSERT_NE(mv, nullptr);
+  EXPECT_EQ(mv->level(), IsolationLevel::kOracleReadConsistency);
+}
+
 TEST(RCEngineTest, StatementLevelSnapshotAdvances) {
-  ReadConsistencyEngine e;
+  std::unique_ptr<Engine> orc = MakeEngine();
+  Engine& e = *orc;
   ASSERT_TRUE(e.Load("x", Row::Scalar(Value(50))).ok());
   ASSERT_TRUE(e.Begin(1).ok());
   auto first = e.Read(1, "x");
@@ -53,7 +67,8 @@ TEST(RCEngineTest, StatementLevelSnapshotAdvances) {
 }
 
 TEST(RCEngineTest, NeverReadsUncommitted) {
-  ReadConsistencyEngine e;
+  std::unique_ptr<Engine> orc = MakeEngine();
+  Engine& e = *orc;
   ASSERT_TRUE(e.Load("x", Row::Scalar(Value(50))).ok());
   ASSERT_TRUE(e.Begin(1).ok());
   ASSERT_TRUE(e.Write(1, "x", Row::Scalar(Value(10))).ok());
@@ -64,7 +79,8 @@ TEST(RCEngineTest, NeverReadsUncommitted) {
 }
 
 TEST(RCEngineTest, FirstWriterWinsBlocksSecondWriter) {
-  ReadConsistencyEngine e;
+  std::unique_ptr<Engine> orc = MakeEngine();
+  Engine& e = *orc;
   ASSERT_TRUE(e.Load("x", Row::Scalar(Value(0))).ok());
   ASSERT_TRUE(e.Begin(1).ok());
   ASSERT_TRUE(e.Begin(2).ok());
@@ -80,7 +96,7 @@ TEST(RCEngineTest, GeneralLostUpdatePossible) {
   // Application-level read-then-write across statements: P4 (the paper:
   // Read Consistency "allows ... general lost updates (P4)").
   Database db = MakeDb();
-  auto& e = static_cast<ReadConsistencyEngine&>(db.engine());
+  Engine& e = db.engine();
   ASSERT_TRUE(e.Load("x", Row::Scalar(Value(100))).ok());
   Runner runner(db);
   Program t1;
@@ -105,7 +121,7 @@ TEST(RCEngineTest, UpdateStatementHasWriteConsistency) {
   // Statement-level UPDATE recomputes against the latest committed value
   // after the lock wait — no lost update between two UPDATE statements.
   Database db = MakeDb();
-  auto& e = static_cast<ReadConsistencyEngine&>(db.engine());
+  Engine& e = db.engine();
   ASSERT_TRUE(e.Load("x", Row::Scalar(Value(100))).ok());
   Runner runner(db);
   Program t1;
@@ -125,7 +141,7 @@ TEST(RCEngineTest, CursorLostUpdatePrevented) {
   // FetchCursor is SELECT ... FOR UPDATE: P4C cannot arise (Section 4.3:
   // Read Consistency "disallows cursor lost updates (P4C)").
   Database db = MakeDb();
-  auto& e = static_cast<ReadConsistencyEngine&>(db.engine());
+  Engine& e = db.engine();
   ASSERT_TRUE(e.Load("x", Row::Scalar(Value(100))).ok());
   Runner runner(db);
   Program t1;
@@ -149,7 +165,8 @@ TEST(RCEngineTest, CursorLostUpdatePrevented) {
 TEST(RCEngineTest, ReadSkewPossible) {
   // A5A: T1 reads x, T2 commits a transfer, T1's later statement sees the
   // new y — inconsistent pair (the paper: Read Consistency allows A5A).
-  ReadConsistencyEngine e;
+  std::unique_ptr<Engine> orc = MakeEngine();
+  Engine& e = *orc;
   ASSERT_TRUE(e.Load("x", Row::Scalar(Value(50))).ok());
   ASSERT_TRUE(e.Load("y", Row::Scalar(Value(50))).ok());
   ASSERT_TRUE(e.Begin(1).ok());
@@ -172,7 +189,7 @@ TEST(RCEngineTest, ReadSkewPossible) {
 
 TEST(RCEngineTest, WriteWriteDeadlockResolved) {
   Database db = MakeDb();
-  auto& e = static_cast<ReadConsistencyEngine&>(db.engine());
+  Engine& e = db.engine();
   ASSERT_TRUE(e.Load("x", Row::Scalar(Value(0))).ok());
   ASSERT_TRUE(e.Load("y", Row::Scalar(Value(0))).ok());
   Runner runner(db);
@@ -190,7 +207,8 @@ TEST(RCEngineTest, WriteWriteDeadlockResolved) {
 }
 
 TEST(RCEngineTest, RollbackDiscardsPendingVersions) {
-  ReadConsistencyEngine e;
+  std::unique_ptr<Engine> orc = MakeEngine();
+  Engine& e = *orc;
   ASSERT_TRUE(e.Load("x", Row::Scalar(Value(5))).ok());
   ASSERT_TRUE(e.Begin(1).ok());
   ASSERT_TRUE(e.Write(1, "x", Row::Scalar(Value(6))).ok());

@@ -23,10 +23,10 @@ Value FinalScalar(Engine& engine, const ItemId& id, TxnId reader) {
 
 // Wraps an SI engine in a session facade; tests reach the raw engine
 // through db.engine() for snapshot/GC-specific assertions.
-Database MakeDb(SnapshotIsolationOptions opts = {}) {
+Database MakeDb(IsolationLevel level = IsolationLevel::kSnapshotIsolation) {
   DbOptions options;
-  options.engine_factory = [opts] {
-    return std::make_unique<SnapshotIsolationEngine>(opts);
+  options.engine_factory = [level] {
+    return std::make_unique<SnapshotIsolationEngine>(level);
   };
   return Database(options);
 }
@@ -173,9 +173,7 @@ TEST(SIEngineTest, WriteSkewAdmitted) {
 }
 
 TEST(SIEngineTest, SsiRefusesWriteSkew) {
-  SnapshotIsolationOptions opts;
-  opts.ssi = true;
-  Database db = MakeDb(opts);
+  Database db = MakeDb(IsolationLevel::kSerializableSI);
   auto& e = static_cast<SnapshotIsolationEngine&>(db.engine());
   ASSERT_TRUE(e.Load("x", Row::Scalar(Value(50))).ok());
   ASSERT_TRUE(e.Load("y", Row::Scalar(Value(50))).ok());
@@ -200,9 +198,7 @@ TEST(SIEngineTest, SsiRefusesWriteSkew) {
 }
 
 TEST(SIEngineTest, SsiAllowsSerialExecutions) {
-  SnapshotIsolationOptions opts;
-  opts.ssi = true;
-  SnapshotIsolationEngine e(opts);
+  SnapshotIsolationEngine e(IsolationLevel::kSerializableSI);
   ASSERT_TRUE(e.Load("x", Row::Scalar(Value(1))).ok());
   ASSERT_TRUE(e.Begin(1).ok());
   ASSERT_TRUE(e.Read(1, "x").ok());
@@ -217,9 +213,7 @@ TEST(SIEngineTest, SsiAllowsSerialExecutions) {
 TEST(SIEngineTest, SsiCatchesPredicateWriteSkew) {
   // The paper's 8-hour job-tasks scenario: two concurrent inserts under
   // the same predicate; plain SI admits it, SSI's predicate SIREADs don't.
-  SnapshotIsolationOptions opts;
-  opts.ssi = true;
-  SnapshotIsolationEngine e(opts);
+  SnapshotIsolationEngine e(IsolationLevel::kSerializableSI);
   ASSERT_TRUE(e.Load("t1", Row().Set("task", true).Set("hours", 7)).ok());
   Predicate tasks = Predicate::Cmp("task", CompareOp::kEq, true);
 
@@ -273,10 +267,29 @@ TEST(SIEngineTest, InsertDeleteVisibility) {
   ASSERT_TRUE(e.Commit(2).ok());
 }
 
+TEST(SIEngineTest, OnlyOracleReadConsistencyTakesWriteLocks) {
+  // One engine, three native levels: SI and SSI writers never touch the
+  // lock table; an ORC writer holds a long Write lock until commit.
+  for (IsolationLevel level :
+       {IsolationLevel::kSnapshotIsolation, IsolationLevel::kSerializableSI,
+        IsolationLevel::kOracleReadConsistency}) {
+    SnapshotIsolationEngine e(level);
+    ASSERT_TRUE(e.Load("x", Row::Scalar(Value(1))).ok());
+    ASSERT_TRUE(e.Begin(1).ok());
+    ASSERT_TRUE(e.Write(1, "x", Row::Scalar(Value(2))).ok());
+    ASSERT_TRUE(e.Commit(1).ok());
+    const bool orc = level == IsolationLevel::kOracleReadConsistency;
+    EXPECT_EQ(e.lock_stats().acquired, orc ? 1u : 0u)
+        << IsolationLevelName(level);
+    EXPECT_EQ(e.lock_stats().released, e.lock_stats().acquired)
+        << IsolationLevelName(level);
+  }
+}
+
 TEST(SIEngineTest, EagerWriteConflictOption) {
   SnapshotIsolationOptions opts;
   opts.eager_write_conflicts = true;
-  SnapshotIsolationEngine e(opts);
+  SnapshotIsolationEngine e(IsolationLevel::kSnapshotIsolation, opts);
   ASSERT_TRUE(e.Load("x", Row::Scalar(Value(1))).ok());
   ASSERT_TRUE(e.Begin(1).ok());
   ASSERT_TRUE(e.Begin(2).ok());

@@ -36,9 +36,7 @@ namespace critique {
 namespace {
 
 SnapshotIsolationEngine MakeSsi() {
-  SnapshotIsolationOptions opts;
-  opts.ssi = true;
-  return SnapshotIsolationEngine(opts);
+  return SnapshotIsolationEngine(IsolationLevel::kSerializableSI);
 }
 
 Row Scalar(int64_t v) { return Row::Scalar(Value(v)); }
@@ -181,9 +179,7 @@ TEST(SsiEscapeTest, RetiredWitnessStillAbortsTheCompleter) {
   // W=11, completer T=12), but the witness is version-GC-retired before
   // the completer commits: the pivot's sticky `committed_first_out`
   // summary must keep the refusal in force.
-  SnapshotIsolationOptions opts;
-  opts.ssi = true;
-  SnapshotIsolationEngine e(opts);
+  SnapshotIsolationEngine e(IsolationLevel::kSerializableSI);
   VersionGcPolicy gc;
   gc.mode = VersionGcMode::kWatermark;
   gc.commit_interval = 1u << 30;  // explicit passes only
