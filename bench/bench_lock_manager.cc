@@ -149,11 +149,11 @@ void RunMtBlocking(size_t stripes, const Config& cfg, WorkloadResult& out) {
         if (a > b) std::swap(a, b);
         auto h1 = lm.Acquire(
             LockSpec::WriteItem(txn, Key(a), std::nullopt, std::nullopt),
-            std::chrono::milliseconds(100), std::chrono::milliseconds(5));
+            std::chrono::milliseconds(100));
         if (!h1.ok()) continue;  // deadlock victim / timeout: give up
         auto h2 = lm.Acquire(
             LockSpec::WriteItem(txn, Key(b), std::nullopt, std::nullopt),
-            std::chrono::milliseconds(100), std::chrono::milliseconds(5));
+            std::chrono::milliseconds(100));
         (void)h2;
         lm.ReleaseAll(txn);
       }

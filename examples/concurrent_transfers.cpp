@@ -1,9 +1,10 @@
 // Blocking-mode quickstart: the same Database, driven by four OS threads
 // at once.
 //
-// `ConcurrencyMode::kBlocking` turns lock conflicts into real
-// condition-variable waits (with deadlock detection and a lock-wait
-// timeout) instead of cooperative `kWouldBlock` answers, so `Execute`
+// `ConcurrencyMode::kBlocking` turns lock conflicts into real thread
+// waits — parked on the lock manager's FIFO wait list until the
+// conflicting release wakes them, with deadlock detection and a lock-wait
+// timeout — instead of cooperative `kWouldBlock` answers, so `Execute`
 // bodies can be thrown at the database from any number of threads — one
 // transaction per thread.  The run below moves money between accounts
 // under Snapshot Isolation and under Locking SERIALIZABLE and verifies

@@ -17,12 +17,16 @@
 #            scripts/bench_gate.py (tolerance via BENCH_GATE_TOLERANCE,
 #            default 0.5 = fail on >50% regression).  See
 #            docs/benchmarks.md.
-#   --stress build under ThreadSanitizer and loop the formerly-flaky SSI
-#            serializability stress test (ConcurrencyTest.
+#   --stress build under ThreadSanitizer and loop, STRESS_RUNS times each
+#            (default 30): the formerly-flaky SSI serializability stress
+#            test (ConcurrencyTest.
 #            CommittedSerializableHistoriesStaySerializable, which before
-#            the commit-pipeline fix failed ~1/15 TSan runs) STRESS_RUNS
-#            times (default 30).  Zero failures required; any data race
-#            or non-serializable committed history fails the loop.
+#            the commit-pipeline fix failed ~1/15 TSan runs), then the
+#            blocking lock-wait suite (LockManagerBlockingTest.*,
+#            LockStripingTest.Blocking*, LockStripingStressTest.*: park
+#            slots, FIFO handoff, timeouts racing wakeups).  Zero failures
+#            required; any data race, non-serializable committed history,
+#            lost wakeup or stranded lock fails the loop.
 #   --crash  build under AddressSanitizer and run the durability crash
 #            matrix: the WAL format/pipeline suite plus every
 #            kill-and-recover test (single-site, group commit, and the
@@ -161,16 +165,22 @@ if [[ "$CRASH" -eq 1 ]]; then
 fi
 
 if [[ "$STRESS" -eq 1 ]]; then
-  # The stress loop: the SSI commit-pipeline regression pin.  One gtest
-  # process repeats the test so every iteration reuses the warmed TSan
-  # runtime; --gtest_break_on_failure turns the first bad history into a
-  # non-zero exit.  TSan itself fails the run on any data race.
+  # The stress loops: the SSI commit-pipeline regression pin, then the
+  # lock-wait pin (a blocked thread parks on its registration's one-shot
+  # slot; a release signals it outside the latches, possibly racing the
+  # waiter's own timeout).  One gtest process per loop repeats its tests
+  # so every iteration reuses the warmed TSan runtime;
+  # --gtest_break_on_failure turns the first failure into a non-zero
+  # exit.  TSan itself fails the run on any data race.
   RUNS="${STRESS_RUNS:-30}"
-  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-  "$BUILD_DIR"/critique_tests \
-    --gtest_filter='ConcurrencyTest.CommittedSerializableHistoriesStaySerializable' \
-    --gtest_repeat="$RUNS" --gtest_break_on_failure
-  echo "check.sh: stress loop green ($RUNS TSan runs)"
+  for FILTER in \
+      'ConcurrencyTest.CommittedSerializableHistoriesStaySerializable' \
+      'LockManagerBlockingTest.*:LockStripingTest.Blocking*:LockStripingStressTest.*'; do
+    TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
+    "$BUILD_DIR"/critique_tests --gtest_filter="$FILTER" \
+      --gtest_repeat="$RUNS" --gtest_break_on_failure
+  done
+  echo "check.sh: stress loops green ($RUNS TSan runs each)"
   exit 0
 fi
 

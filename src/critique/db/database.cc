@@ -26,7 +26,6 @@ void ConfigureEngine(Engine& engine, const DbOptions& options) {
   EngineConcurrency c;
   c.blocking_locks = options.mode == ConcurrencyMode::kBlocking;
   c.lock_wait_timeout = options.lock_wait_timeout;
-  c.deadlock_check_interval = options.deadlock_check_interval;
   c.lock_stripes = options.lock_stripes;
   c.storage_backend = options.storage_backend;
   engine.SetConcurrency(c);

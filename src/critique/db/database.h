@@ -78,13 +78,6 @@ struct DbOptions {
   /// retry protocol as an ordinary retryable failure.
   std::chrono::milliseconds lock_wait_timeout{250};
 
-  /// Blocking mode only: how often a parked lock waiter re-runs deadlock
-  /// detection even when no lock-release notification woke it — the bound
-  /// on how long a deadlock formed while threads sleep can go unnoticed.
-  /// Smaller values detect cross-session cycles sooner at the cost of more
-  /// wake-ups.
-  std::chrono::milliseconds deadlock_check_interval{50};
-
   /// How many independently latched buckets the engine's lock table is
   /// hash-partitioned into (lock-based engines; 1 = one global table).
   /// Applies in both concurrency modes.

@@ -64,19 +64,17 @@ std::ostream& operator<<(std::ostream& os, const EngineStats& stats);
 /// How an engine resolves lock conflicts; set through
 /// `Engine::SetConcurrency` before any session starts.
 struct EngineConcurrency {
-  /// When true, lock conflicts park the calling thread (condition-variable
-  /// wait with deadlock detection) instead of answering `kWouldBlock`.
+  /// When true, lock conflicts park the calling thread on the lock
+  /// manager's FIFO wait list — the same registration a cooperative
+  /// session's wakeup hook uses, woken by the conflicting release, with
+  /// deadlock detection when the wait begins — instead of answering
+  /// `kWouldBlock`.
   bool blocking_locks = false;
 
   /// Blocking mode only: how long a lock wait may last before the engine
   /// gives up and answers `kWouldBlock` ("lock wait timeout"), which the
   /// session layer treats as a retryable whole-transaction failure.
   std::chrono::milliseconds lock_wait_timeout{250};
-
-  /// Blocking mode only: how often a parked lock waiter re-runs deadlock
-  /// detection even when no release notification arrived (the bound that
-  /// catches cycles formed while threads sleep).
-  std::chrono::milliseconds deadlock_check_interval{50};
 
   /// How many independently latched buckets the engine's lock table is
   /// hash-partitioned into (lock-based engines only; 1 = the old global
@@ -522,8 +520,7 @@ class Engine {
     Result<LockHandle> r = [&]() -> Result<LockHandle> {
       if (!concurrency_.blocking_locks) return lm.TryAcquire(spec);
       lk.unlock();
-      auto waited =
-          lm.Acquire(spec, timeout, concurrency_.deadlock_check_interval);
+      auto waited = lm.Acquire(spec, timeout);
       lk.lock();
       return waited;
     }();

@@ -126,7 +126,7 @@ bool LockManager::SetStripeCount(size_t stripes) {
     auto all = LockAllBuckets();
     std::lock_guard<std::mutex> gl(graph_mu_);
     for (const auto& b : buckets_) {
-      if (!b->held.empty() || b->waiters != 0) return false;
+      if (!b->held.empty()) return false;
     }
     if (!pred_held_.empty() || !waiting_.empty()) return false;
   }
@@ -156,129 +156,143 @@ bool LockManager::StickyMatches(const StickySeq& s, const LockSpec& spec) {
   return spec.is_item ? s.key == spec.item : s.key == spec.pred->ToString();
 }
 
-void LockManager::RegisterCoopWaiterLocked(const LockSpec& spec) {
-  DeregisterCoopLocked(spec.txn);  // at most one live registration per txn
+void LockManager::RegisterWaiterLocked(const LockSpec& spec,
+                                       std::optional<std::promise<void>> park) {
   // Seniority is per request, not per registration: a woken waiter that
   // still conflicts (one of several S holders released) re-registers with
   // its original seq, keeping its FIFO place instead of queueing behind
   // arrivals that came while it was being woken.
   uint64_t seq;
-  auto sticky = coop_sticky_.find(spec.txn);
-  if (sticky != coop_sticky_.end() && StickyMatches(sticky->second, spec)) {
+  auto sticky = sticky_.find(spec.txn);
+  if (sticky != sticky_.end() && StickyMatches(sticky->second, spec)) {
     seq = sticky->second.seq;
   } else {
-    seq = ++coop_next_seq_;
-    coop_sticky_[spec.txn] =
+    seq = ++next_waiter_seq_;
+    sticky_[spec.txn] =
         StickySeq{seq, spec.is_item, spec.mode,
                   spec.is_item ? spec.item : spec.pred->ToString()};
   }
-  coop_seq_[spec.txn] = seq;
-  coop_waiter_count_.fetch_add(1, std::memory_order_relaxed);
-  // Deadlock detection recomputes a registered waiter's edges live from
-  // this spec, exactly like a thread parked inside Acquire.
-  waiting_[spec.txn] = spec;
+  if (!park) stat_coop_parks_.fetch_add(1, std::memory_order_relaxed);
+  waiting_[spec.txn] = Registration{seq, spec, std::chrono::steady_clock::now(),
+                                    std::move(park)};
+  RegisteredCount(spec).fetch_add(1, std::memory_order_relaxed);
   // Drop the txn's previous entries from the target list first: a reused
   // seq would otherwise revive the stale entry of the last episode (same
-  // txn, same seq passes the liveness check) and wake the session twice.
+  // txn, same seq passes the liveness check) and wake the waiter twice.
   // Same-request re-registration always targets the same list, so the
   // other lists need no sweep — their entries carry retired seqs.
-  auto& list = spec.is_item ? buckets_[BucketOf(spec.item)]->coop_waiters
-                            : coop_pred_waiters_;
-  list.erase(
-      std::remove_if(list.begin(), list.end(),
-                     [&](const CoopWaiter& w) { return w.txn == spec.txn; }),
-      list.end());
-  list.push_back(
-      CoopWaiter{spec.txn, seq, spec, std::chrono::steady_clock::now()});
-  stat_coop_parks_.fetch_add(1, std::memory_order_relaxed);
+  auto& list = spec.is_item ? buckets_[BucketOf(spec.item)]->waiters
+                            : pred_waiters_;
+  list.erase(std::remove_if(list.begin(), list.end(),
+                            [&](const Waiter& w) { return w.txn == spec.txn; }),
+             list.end());
+  list.push_back(Waiter{spec.txn, seq});
 }
 
-void LockManager::DeregisterCoopLocked(TxnId txn) {
-  auto it = coop_seq_.find(txn);
-  if (it == coop_seq_.end()) return;
-  coop_seq_.erase(it);
-  coop_waiter_count_.fetch_sub(1, std::memory_order_relaxed);
-  waiting_.erase(txn);
+void LockManager::DeregisterWaiterLocked(TxnId txn) {
+  auto it = waiting_.find(txn);
+  if (it == waiting_.end()) return;
+  RegisteredCount(it->second.spec).fetch_sub(1, std::memory_order_relaxed);
+  waiting_.erase(it);
   EraseEdgesLocked(txn);
 }
 
-void LockManager::CollectCoopWakeupsLocked(const LockSpec& released,
-                                           Bucket* bucket,
-                                           std::vector<TxnId>& out) {
-  // Prune stale entries, then gather live waiters the released lock may
-  // have been blocking.
-  std::vector<const CoopWaiter*> cand;
-  auto scan = [&](std::vector<CoopWaiter>& list) {
-    list.erase(std::remove_if(list.begin(), list.end(),
-                              [&](const CoopWaiter& w) {
-                                auto live = coop_seq_.find(w.txn);
-                                return live == coop_seq_.end() ||
-                                       live->second != w.seq;
-                              }),
-               list.end());
-    for (const CoopWaiter& w : list) {
-      if (SpecsConflict(released, w.spec)) cand.push_back(&w);
-    }
+std::atomic<int>& LockManager::RegisteredCount(const LockSpec& spec) {
+  return spec.is_item ? buckets_[BucketOf(spec.item)]->registered
+                      : pred_registered_;
+}
+
+bool LockManager::MayHaveWaitersLocked(const Bucket* bucket) const {
+  auto any = [](const std::atomic<int>& n) {
+    return n.load(std::memory_order_relaxed) > 0;
   };
-  if (bucket != nullptr) {
-    scan(bucket->coop_waiters);
+  if (any(pred_registered_)) return true;
+  if (bucket != nullptr) return any(bucket->registered);
+  return std::any_of(buckets_.begin(), buckets_.end(),
+                     [&](const auto& b) { return any(b->registered); });
+}
+
+void LockManager::CollectWakeupsLocked(const LockSpec& released,
+                                       WakeList& out) {
+  // Prune stale entries, then gather the live registrations the released
+  // lock may have been blocking.
+  using Live = std::pair<const TxnId, Registration>;
+  std::vector<Live*> cand;
+  auto scan = [&](std::vector<Waiter>& list) {
+    size_t kept = 0;
+    for (const Waiter& w : list) {
+      auto live = waiting_.find(w.txn);
+      if (live == waiting_.end() || live->second.seq != w.seq) continue;
+      list[kept++] = w;
+      if (SpecsConflict(released, live->second.spec)) cand.push_back(&*live);
+    }
+    list.resize(kept);
+  };
+  if (released.is_item) {
+    scan(buckets_[BucketOf(released.item)]->waiters);
   } else {
-    for (const auto& b : buckets_) scan(b->coop_waiters);
+    for (const auto& b : buckets_) scan(b->waiters);
   }
-  scan(coop_pred_waiters_);
+  scan(pred_waiters_);
   if (cand.empty()) return;
-  std::sort(cand.begin(), cand.end(),
-            [](const CoopWaiter* a, const CoopWaiter* b) {
-              return a->seq < b->seq;
-            });
+  std::sort(cand.begin(), cand.end(), [](const Live* a, const Live* b) {
+    return a->second.seq < b->second.seq;
+  });
   // FIFO per conflict group: waiters on the same item form one queue —
   // wake its head and, when the head wants S, the later S waiters up to
   // the first X (readers admit together; a writer drains alone).  The
   // suppressed rest keep their registrations: the woken head either
   // acquires the item (its later release resumes the queue) or hits a
-  // deadlock verdict, which implies a surviving conflicting holder whose
-  // release does.  Predicate waiters are each their own group — a
-  // predicate's conflicts span items, so suppressing one behind a waiter
-  // on a single item could strand it.
-  std::vector<const CoopWaiter*> woken;
+  // deadlock verdict or a timeout, which implies a surviving conflicting
+  // holder whose release does.  Predicate waiters are each their own
+  // group — a predicate's conflicts span items, so suppressing one behind
+  // a waiter on a single item could strand it.
+  std::vector<Live*> woken;
   std::map<ItemId, bool> group_closed;  // item -> stop admitting
-  for (const CoopWaiter* w : cand) {
-    if (!w->spec.is_item) {
+  for (Live* w : cand) {
+    const LockSpec& spec = w->second.spec;
+    if (!spec.is_item) {
       woken.push_back(w);
       continue;
     }
-    auto [it, is_head] = group_closed.emplace(w->spec.item, false);
+    auto [it, is_head] = group_closed.emplace(spec.item, false);
     if (is_head) {
       woken.push_back(w);
-      it->second = w->spec.mode == LockMode::kExclusive;
+      it->second = spec.mode == LockMode::kExclusive;
     } else if (!it->second) {
-      if (w->spec.mode == LockMode::kShared) {
+      if (spec.mode == LockMode::kShared) {
         woken.push_back(w);
       } else {
         it->second = true;
       }
     }
   }
-  const bool timing = obs::MetricsEnabled() && !woken.empty();
+  const bool timing = obs::MetricsEnabled();
   const auto now = timing ? std::chrono::steady_clock::now()
                           : std::chrono::steady_clock::time_point{};
-  for (const CoopWaiter* w : woken) {
-    if (timing) {
-      park_wakeup_hist_.Record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(now -
-                                                                w->parked_at)
-              .count()));
+  for (Live* w : woken) {
+    const TxnId t = w->first;
+    Registration& reg = w->second;
+    if (reg.park) {
+      out.threads.push_back(std::move(*reg.park));
+    } else {
+      if (timing) {
+        park_wakeup_hist_.Record(static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                now - reg.parked_at)
+                .count()));
+      }
+      out.sessions.push_back(t);
     }
-    TxnId t = w->txn;
-    DeregisterCoopLocked(t);  // leaves the lists untouched; w stays valid
-    out.push_back(t);
+    DeregisterWaiterLocked(t);  // erases *w only; the rest stay valid
   }
 }
 
-void LockManager::NotifyCoopWaiters(const std::vector<TxnId>& wake) {
-  if (wake.empty()) return;
-  stat_wakeups_.fetch_add(wake.size(), std::memory_order_relaxed);
-  for (TxnId t : wake) wakeup_hook_(t);
+void LockManager::NotifyWaiters(WakeList& wake) {
+  for (std::promise<void>& p : wake.threads) p.set_value();
+  if (wake.sessions.empty()) return;
+  stat_wakeups_.fetch_add(wake.sessions.size(), std::memory_order_relaxed);
+  for (TxnId t : wake.sessions) wakeup_hook_(t);
 }
 
 size_t LockManager::BucketOf(const ItemId& id) const {
@@ -358,15 +372,15 @@ std::vector<TxnId> LockManager::BlockersGlobalLocked(
 
 bool LockManager::WouldDeadlockLocked(TxnId requester) const {
   // DFS from the requester; a path back to the requester is a cycle that
-  // the newly recorded edges just closed.  Parked waiters' edges are
+  // the newly recorded edges just closed.  Registered waiters' edges are
   // recomputed live from their waiting spec (legal here: the global view
   // holds every bucket latch) — their waits_for_ entries can be stale
-  // (recorded before releases that happened while they slept).
+  // (recorded before releases or grants that happened while they slept).
   std::set<TxnId> visited;
   auto successors = [&](TxnId u) -> std::set<TxnId> {
     auto w = waiting_.find(u);
     if (w != waiting_.end()) {
-      std::vector<TxnId> live = BlockersGlobalLocked(w->second);
+      std::vector<TxnId> live = BlockersGlobalLocked(w->second.spec);
       return std::set<TxnId>(live.begin(), live.end());
     }
     auto it = waits_for_.find(u);
@@ -434,7 +448,8 @@ std::string LockManager::JoinTxns(const std::vector<TxnId>& txns) {
   return out;
 }
 
-Result<LockHandle> LockManager::TryAcquire(const LockSpec& spec) {
+Result<LockHandle> LockManager::AcquireOrRegister(const LockSpec& spec,
+                                                  std::future<void>* park) {
   if (spec.is_item) {
     // Fast path: one bucket latch, one bucket scan (plus the — normally
     // empty — predicate table).
@@ -452,227 +467,137 @@ Result<LockHandle> LockManager::TryAcquire(const LockSpec& spec) {
   auto all = LockAllBuckets();
   std::lock_guard<std::mutex> gl(graph_mu_);
   std::vector<TxnId> blockers = BlockersGlobalLocked(spec);
+  // A registration left from this txn's previous attempt (a cooperative
+  // re-run that raced its wakeup) is void: this call decides afresh, and
+  // the probe below must not read the old request's edges.
+  DeregisterWaiterLocked(spec.txn);
   if (blockers.empty()) {
-    if (coop_waiter_count_.load(std::memory_order_relaxed) > 0) {
-      DeregisterCoopLocked(spec.txn);  // re-run raced the wakeup: cancel
-    }
-    coop_sticky_.erase(spec.txn);  // request granted: seniority retired
+    sticky_.erase(spec.txn);  // request granted: seniority retired
     EraseEdgesLocked(spec.txn);
     return spec.is_item ? GrantItemLocked(BucketOf(spec.item), spec)
                         : GrantPredLocked(spec);
   }
-  // Register for a wakeup BEFORE recording edges: registration clears any
-  // previous registration, and that cleanup also erases the txn's edges.
-  // Registration and the WouldBlock answer happen under the same latches,
-  // so the conflicting holders cannot release in between — the wakeup
-  // cannot be lost.
-  const bool coop_hook = has_wakeup_hook_.load(std::memory_order_acquire);
-  if (coop_hook) RegisterCoopWaiterLocked(spec);
   RecordEdgesLocked(spec.txn, blockers);
   if (WouldDeadlockLocked(spec.txn)) {
     stat_deadlocks_.fetch_add(1, std::memory_order_relaxed);
-    if (coop_hook) DeregisterCoopLocked(spec.txn);
     EraseEdgesLocked(spec.txn);
     return Status::Deadlock("deadlock: T" + std::to_string(spec.txn) +
                             " waits on" + JoinTxns(blockers));
   }
-  stat_blocked_.fetch_add(1, std::memory_order_relaxed);
+  // Registration and the WouldBlock answer happen under the same latches,
+  // so the conflicting holders cannot release in between — the wakeup
+  // cannot be lost.
+  if (park != nullptr) {
+    std::promise<void> slot;
+    *park = slot.get_future();
+    RegisterWaiterLocked(spec, std::move(slot));
+  } else if (has_wakeup_hook_.load(std::memory_order_acquire)) {
+    RegisterWaiterLocked(spec, std::nullopt);
+  }
   return Status::WouldBlock(Describe(spec) + " locked by" + JoinTxns(blockers));
 }
 
+Result<LockHandle> LockManager::TryAcquire(const LockSpec& spec) {
+  Result<LockHandle> r = AcquireOrRegister(spec, nullptr);
+  if (r.status().IsWouldBlock()) {
+    stat_blocked_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return r;
+}
+
 Result<LockHandle> LockManager::Acquire(const LockSpec& spec,
-                                        std::chrono::milliseconds timeout,
-                                        std::chrono::milliseconds recheck) {
-  // Waiters sleep in bounded slices on their bucket's condition variable:
-  // every relevant release notifies it, and the slice bound guarantees the
-  // global deadlock probe re-runs even if a wake-up is lost to scheduling,
-  // so a cycle formed while this thread slept (its recorded edges going
-  // stale) can never hang the run.
-  const std::chrono::milliseconds kRecheckSlice =
-      recheck.count() > 0 ? recheck : std::chrono::milliseconds(50);
+                                        std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-
-  // Predicate waiters park on bucket 0 by convention; see the class
-  // comment for the (slice-bounded) notification contract.
-  const size_t bi = spec.is_item ? BucketOf(spec.item) : 0;
-  Bucket& park = *buckets_[bi];
-  bool counted_wait = false;
-  bool registered = false;
-  // Set when the first conflict is seen; the wait histogram records the
-  // whole episode (sleeps + rechecks) once, on whatever exit ends it.
-  std::chrono::steady_clock::time_point wait_start{};
-  auto record_wait = [&] {
-    if (!counted_wait || !obs::MetricsEnabled()) return;
-    wait_hist_.Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - wait_start)
-            .count()));
-  };
-
-  // Requires graph_mu_; undoes the waiter registration and edges.
-  auto deregister_locked = [&] {
-    if (registered) {
-      waiting_.erase(spec.txn);
-      if (!spec.is_item) pred_waiters_.fetch_sub(1, std::memory_order_relaxed);
-      registered = false;
+  // Set at the first park; the wait histogram records the whole episode
+  // (every park and retry) once, on whatever exit ends it.
+  std::optional<std::chrono::steady_clock::time_point> wait_start;
+  auto finish = [&](Result<LockHandle> r) {
+    if (wait_start && obs::MetricsEnabled()) {
+      wait_hist_.Record(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - *wait_start)
+              .count()));
     }
-    EraseEdgesLocked(spec.txn);
+    return r;
   };
-
-  std::unique_lock<std::mutex> bl(park.mu, std::defer_lock);
   for (;;) {
-    if (spec.is_item) {
-      // Bucket-local attempt (reused with the latch still held right
-      // after a wake-up).
-      if (!bl.owns_lock()) bl.lock();
-      std::vector<TxnId> blockers = BlockersBucketLocked(park, spec);
-      if (blockers.empty()) {
-        if (registered ||
-            edge_txns_.load(std::memory_order_relaxed) > 0) {
-          std::lock_guard<std::mutex> gl(graph_mu_);
-          deregister_locked();
-        }
-        record_wait();
-        return GrantItemLocked(bi, spec);
-      }
-      bl.unlock();
-    }
-
-    // Conflict: global view for the grant/edges/deadlock decision.
-    auto all = LockAllBuckets();
-    std::unique_lock<std::mutex> gl(graph_mu_);
-    std::vector<TxnId> blockers = BlockersGlobalLocked(spec);
-    if (blockers.empty()) {
-      deregister_locked();
-      record_wait();
-      return spec.is_item ? GrantItemLocked(bi, spec) : GrantPredLocked(spec);
-    }
-    if (!registered) {
-      waiting_[spec.txn] = spec;  // deadlock detection reads our edges live
-      if (!spec.is_item) pred_waiters_.fetch_add(1, std::memory_order_relaxed);
-      registered = true;
-    }
-    RecordEdgesLocked(spec.txn, blockers);
-    if (WouldDeadlockLocked(spec.txn)) {
-      stat_deadlocks_.fetch_add(1, std::memory_order_relaxed);
-      deregister_locked();
-      record_wait();
-      return Status::Deadlock("deadlock: T" + std::to_string(spec.txn) +
-                              " waits on" + JoinTxns(blockers));
-    }
-    if (!counted_wait) {
+    std::future<void> woken;
+    Result<LockHandle> r = AcquireOrRegister(spec, &woken);
+    if (!woken.valid()) return finish(std::move(r));  // granted or deadlock
+    if (!wait_start) {
       stat_blocked_.fetch_add(1, std::memory_order_relaxed);
-      counted_wait = true;  // one wait episode, however many re-checks
       wait_start = std::chrono::steady_clock::now();
     }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      stat_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      deregister_locked();
-      record_wait();
-      return Status::WouldBlock(
-          "lock wait timeout (" + std::to_string(timeout.count()) +
-          "ms): " + Describe(spec) + " locked by" + JoinTxns(blockers));
-    }
-
-    // Park on the bucket: keep its latch, drop everything else (graph
-    // first, then the other buckets — unlock order is unconstrained).
-    ++park.waiters;
-    gl.unlock();
-    bl = std::move(all[bi]);
-    for (auto& l : all) {
-      if (l.owns_lock()) l.unlock();
-    }
-    park.cv.wait_for(bl, std::min<std::chrono::steady_clock::duration>(
-                             deadline - now, kRecheckSlice));
-    --park.waiters;
-    if (!spec.is_item) bl.unlock();  // predicate retry goes straight global
+    if (woken.wait_until(deadline) == std::future_status::ready) continue;
+    std::lock_guard<std::mutex> gl(graph_mu_);
+    // Only this thread registers spec.txn, so a registration still present
+    // is this episode's: nobody collected it, and the wait is over.
+    // Otherwise a release collected it while the timer fired — its signal
+    // is on the way, and the woken waiter must retry to keep the queue
+    // moving.
+    if (waiting_.count(spec.txn) == 0) continue;
+    DeregisterWaiterLocked(spec.txn);
+    stat_timeouts_.fetch_add(1, std::memory_order_relaxed);
+    return finish(Status::WouldBlock("lock wait timeout (" +
+                                     std::to_string(timeout.count()) +
+                                     "ms): " + r.status().message()));
   }
 }
 
 void LockManager::Release(LockHandle handle) {
   if (handle == 0) return;
   const uint64_t tag = handle & ((1u << kBucketTagBits) - 1);
-  bool erased = false;
-  std::vector<TxnId> wake;
+  std::optional<LockSpec> released;
+  bool any_waiters = false;
+  // `bucket` is the held list's bucket, nullptr for the predicate table.
+  auto take = [&](std::vector<HeldLock>& held, const Bucket* bucket) {
+    auto it = std::find_if(held.begin(), held.end(), [&](const HeldLock& h) {
+      return h.handle == handle;
+    });
+    if (it == held.end()) return;
+    released = std::move(it->spec);
+    held.erase(it);
+    any_waiters = MayHaveWaitersLocked(bucket);
+  };
   if (tag == kPredTag) {
-    // Predicate release: side-table mutation needs the global view; every
-    // bucket's waiters might have been blocked by it.
+    // Predicate release: side-table mutation needs the global view.
     auto all = LockAllBuckets();
-    auto it = std::find_if(
-        pred_held_.begin(), pred_held_.end(),
-        [&](const HeldLock& h) { return h.handle == handle; });
-    if (it != pred_held_.end()) {
-      LockSpec released = std::move(it->spec);
-      pred_held_.erase(it);
-      erased = true;
-      for (const auto& b : buckets_) {
-        if (b->waiters > 0) b->cv.notify_all();
-      }
-      if (coop_waiter_count_.load(std::memory_order_relaxed) > 0) {
-        std::lock_guard<std::mutex> gl(graph_mu_);
-        CollectCoopWakeupsLocked(released, nullptr, wake);
-      }
-    }
+    take(pred_held_, nullptr);
   } else {
     const size_t bi = static_cast<size_t>(tag) - 1;
     if (bi >= buckets_.size()) return;
-    Bucket& b = *buckets_[bi];
-    std::lock_guard<std::mutex> bl(b.mu);
-    auto it = std::find_if(b.held.begin(), b.held.end(), [&](const HeldLock& h) {
-      return h.handle == handle;
-    });
-    if (it != b.held.end()) {
-      LockSpec released = std::move(it->spec);
-      b.held.erase(it);
-      erased = true;
-      if (b.waiters > 0) b.cv.notify_all();
-      if (coop_waiter_count_.load(std::memory_order_relaxed) > 0) {
-        // Bucket-before-graph is the latch order, so this nests cleanly;
-        // an item's cooperative waiters all live in this bucket's list,
-        // and the (graph-guarded) predicate wait list is scanned too.
-        std::lock_guard<std::mutex> gl(graph_mu_);
-        CollectCoopWakeupsLocked(released, &b, wake);
-      }
-    }
+    std::lock_guard<std::mutex> bl(buckets_[bi]->mu);
+    take(buckets_[bi]->held, buckets_[bi].get());
   }
-  if (erased) {
-    stat_released_.fetch_add(1, std::memory_order_relaxed);
-    // A parked predicate waiter (on bucket 0) may be blocked by an item
-    // lock in any bucket; this unlatched poke can race with its pre-wait
-    // window, which the recheck slice bounds.
-    if (tag != kPredTag && pred_waiters_.load(std::memory_order_relaxed) > 0) {
-      buckets_[0]->cv.notify_all();
-    }
+  if (!released) return;
+  stat_released_.fetch_add(1, std::memory_order_relaxed);
+  if (!any_waiters) return;
+  WakeList wake;
+  {
+    std::lock_guard<std::mutex> gl(graph_mu_);
+    CollectWakeupsLocked(*released, wake);
   }
-  NotifyCoopWaiters(wake);  // outside every lock-table latch
+  NotifyWaiters(wake);  // outside every lock-table latch
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
-  size_t erased = 0;
   bool any_pred = false;
   {
     std::lock_guard<std::mutex> bl(buckets_[0]->mu);
     any_pred = !pred_held_.empty();
   }
-  std::vector<TxnId> wake;
-  // Whether cooperative waiters may need waking.  Re-read under the
-  // latches before every erase, never cached across them: a first
-  // registration happens under all bucket latches, so a read taken while
-  // holding any bucket latch is ordered against it — but a read taken
-  // before the latches could miss a waiter that registered in between,
-  // dropping its conflicting lock without collecting the wakeup (a
-  // hook-driven session would park forever).  Mirrors Release().
-  bool coop = false;
-  // Hand-rolled compaction (remove_if would need a side-effecting
-  // predicate) that also hands back the released specs when cooperative
-  // waiters may need waking.
+  // The dropped specs, kept when waiters may need waking.  Whether they
+  // may is read under the latch of each erase, never cached across
+  // latches (see MayHaveWaitersLocked).  Mirrors Release().
   std::vector<LockSpec> dropped;
-  auto erase_from = [&](std::vector<HeldLock>& held) {
+  // Hand-rolled compaction (remove_if would need a side-effecting
+  // predicate); `bucket` as in Release().
+  auto erase_from = [&](std::vector<HeldLock>& held, const Bucket* bucket) {
+    const bool keep = MayHaveWaitersLocked(bucket);
     size_t kept = 0;
     for (size_t i = 0; i < held.size(); ++i) {
       if (held[i].spec.txn == txn) {
-        if (coop) dropped.push_back(std::move(held[i].spec));
+        if (keep) dropped.push_back(std::move(held[i].spec));
       } else {
         if (kept != i) held[kept] = std::move(held[i]);
         ++kept;
@@ -682,57 +607,31 @@ void LockManager::ReleaseAll(TxnId txn) {
     held.resize(kept);
     return n;
   };
+  size_t erased = 0;
   if (any_pred) {
     // The transaction may hold predicate locks: take the global view once.
     auto all = LockAllBuckets();
-    coop = coop_waiter_count_.load(std::memory_order_relaxed) > 0;
-    for (const auto& b : buckets_) {
-      size_t n = erase_from(b->held);
-      erased += n;
-      if (n != 0 && b->waiters > 0) b->cv.notify_all();
-    }
-    size_t n = erase_from(pred_held_);
-    erased += n;
-    if (n != 0) {
-      for (const auto& b : buckets_) {
-        if (b->waiters > 0) b->cv.notify_all();
-      }
-    }
-    if (coop && !dropped.empty()) {
-      std::lock_guard<std::mutex> gl(graph_mu_);
-      for (const LockSpec& spec : dropped) {
-        CollectCoopWakeupsLocked(spec, nullptr, wake);
-      }
-    }
+    for (const auto& b : buckets_) erased += erase_from(b->held, b.get());
+    erased += erase_from(pred_held_, nullptr);
   } else {
     // Common case (no predicate locks anywhere): one bucket at a time.
     for (const auto& b : buckets_) {
       std::lock_guard<std::mutex> bl(b->mu);
-      coop = coop_waiter_count_.load(std::memory_order_relaxed) > 0;
-      dropped.clear();
-      size_t n = erase_from(b->held);
-      erased += n;
-      if (n != 0 && b->waiters > 0) b->cv.notify_all();
-      if (coop && !dropped.empty()) {
-        std::lock_guard<std::mutex> gl(graph_mu_);
-        for (const LockSpec& spec : dropped) {
-          CollectCoopWakeupsLocked(spec, b.get(), wake);
-        }
-      }
+      erased += erase_from(b->held, b.get());
     }
   }
   stat_released_.fetch_add(erased, std::memory_order_relaxed);
-  if (erased != 0 && pred_waiters_.load(std::memory_order_relaxed) > 0) {
-    buckets_[0]->cv.notify_all();
-  }
+  WakeList wake;
   {
-    // Clear the transaction's own registration (a parked session being
-    // rolled back must not linger in the wait lists), its edges, and edges
-    // other transactions recorded against it (they will recompute on their
-    // next attempt/recheck).
+    // Wake the waiters the dropped locks blocked, then clear the
+    // transaction's own registration (a parked session being rolled back
+    // must not linger in the wait lists), its edges, and edges other
+    // transactions recorded against it (they will recompute on their next
+    // attempt).
     std::lock_guard<std::mutex> gl(graph_mu_);
-    DeregisterCoopLocked(txn);
-    coop_sticky_.erase(txn);
+    for (const LockSpec& spec : dropped) CollectWakeupsLocked(spec, wake);
+    DeregisterWaiterLocked(txn);
+    sticky_.erase(txn);
     EraseEdgesLocked(txn);
     for (auto it = waits_for_.begin(); it != waits_for_.end();) {
       it->second.erase(txn);
@@ -744,7 +643,7 @@ void LockManager::ReleaseAll(TxnId txn) {
       }
     }
   }
-  NotifyCoopWaiters(wake);  // outside every lock-table latch
+  NotifyWaiters(wake);  // outside every lock-table latch
 }
 
 std::vector<TxnId> LockManager::Blockers(const LockSpec& spec) const {
@@ -815,12 +714,11 @@ LockDebugSnapshot LockManager::DebugSnapshot() const {
   };
   for (const auto& b : buckets_) add_held(b->held);
   add_held(pred_held_);
-  // `waiting_` covers both protocols: threads parked in Acquire and
-  // cooperative registrations (RegisterCoopWaiterLocked adds them so
-  // deadlock detection sees their edges live).
-  for (const auto& [txn, spec] : waiting_) {
+  // `waiting_` holds both kinds of registration; the park slot tells a
+  // thread parked in Acquire from a session waiting on the hook.
+  for (const auto& [txn, reg] : waiting_) {
     snap.waiters.push_back(LockDebugSnapshot::WaiterEntry{
-        txn, spec.mode, Describe(spec), coop_seq_.count(txn) != 0});
+        txn, reg.spec.mode, Describe(reg.spec), !reg.park.has_value()});
   }
   for (const auto& [from, targets] : waits_for_) {
     for (TxnId to : targets) snap.waits_for.emplace_back(from, to);

@@ -3,9 +3,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -73,6 +73,11 @@ struct LockStats {
   uint64_t deadlocks = 0;
   uint64_t released = 0;
   uint64_t timeouts = 0;  ///< blocking acquires that hit the wait timeout
+  /// Cooperative sessions only: hook registrations and hook wakeups.  A
+  /// thread parked in `Acquire` shares the wait list and the wakeup
+  /// selection but is counted by `blocked` / `timeouts` and timed by
+  /// `LockManager::wait_histogram` instead, so on an executor-driven
+  /// manager every park still ends in exactly one wakeup.
   uint64_t coop_parks = 0;  ///< cooperative waiters registered for a wakeup
   uint64_t wakeups = 0;     ///< release notifications delivered to the hook
 
@@ -95,7 +100,10 @@ struct LockDebugSnapshot {
     TxnId txn = 0;
     LockMode mode = LockMode::kShared;
     std::string what;
-    bool cooperative = false;  ///< registered for a hook wakeup (vs parked)
+    /// Taken from the registration: true for a session waiting on the
+    /// hook ("[parked session]"), false for a thread parked in `Acquire`
+    /// ("[blocked thread]").
+    bool cooperative = false;
   };
   std::vector<HeldEntry> held;
   std::vector<WaiterEntry> waiters;
@@ -125,36 +133,48 @@ struct LockDebugSnapshot {
 ///  * the waits-for graph (`waits_for_` / `waiting_`) sits behind one
 ///    graph mutex, touched only when a conflict was actually found;
 ///  * deadlock detection takes the global view (all bucket latches, then
-///    the graph mutex) so it can recompute parked waiters' edges live —
-///    it runs only on the conflict path (cooperative `TryAcquire`) or when
-///    a parked waiter's bucket-local recheck timeout fires (blocking
-///    `Acquire`), never on a granted acquire.
+///    the graph mutex) so it can recompute registered waiters' edges live
+///    — it runs only on the conflict path, never on a granted acquire.
 ///
 /// Latch order (strict, everywhere): bucket 0 < bucket 1 < ... <
-/// bucket N-1 < graph mutex.  Waiters park on their item's bucket
-/// condition variable (predicate waiters park on bucket 0 by convention);
-/// releases notify the affected bucket, and cross-bucket notifications
-/// that cannot be made race-free without a global latch are bounded by the
-/// recheck slice — a waiter never sleeps past it without re-running the
-/// full conflict check.
+/// bucket N-1 < graph mutex.
 ///
-/// Two acquisition protocols share the conflict/waits-for core:
+/// One conflict decision and one wait protocol serve both acquisition
+/// styles.  On conflict the requester records waits-for edges to every
+/// conflicting holder and — unless that closes a cycle, in which case it
+/// is answered `Deadlock` and the caller (the engine) aborts it
+/// (deterministic requester-as-victim policy) — registers as a waiter on
+/// its item's bucket wait list (predicate specs on a global list), *under
+/// the same latches as the conflict decision itself*: no release can slip
+/// between "conflict seen" and "waiter visible", so no wakeup is lost.
+/// Registrations are one-shot and FIFO.  When a conflicting lock is
+/// released, the manager removes the longest-waiting conflicting waiter —
+/// plus, when that head waiter wants Shared mode, every later conflicting
+/// Shared waiter up to the first Exclusive one (reader batching) — and
+/// wakes each removed waiter once, outside every lock-table latch.  A
+/// woken requester either acquires on its retry or re-registers against
+/// whoever still holds the item, so a conflicting holder always exists
+/// while anyone waits and the notification chain never breaks; FIFO order
+/// is what keeps a hot item from starving old waiters behind fresh
+/// arrivals.  Seniority is assigned once per request: a woken waiter that
+/// re-registers for the same unchanged request keeps its original place in
+/// the queue.  Only a waiting transaction has outgoing edges, so every
+/// cycle is closed by some requester's registration, and the probe that
+/// registration runs finds it — no waiter ever re-probes while it sleeps.
 ///
-///  * `TryAcquire` never blocks the calling thread.  On conflict it records
-///    waits-for edges from the requester to every conflicting holder and
-///    answers `WouldBlock` — unless granting the wait would close a cycle,
-///    in which case it answers `Deadlock` and the caller (the engine)
-///    aborts the requesting transaction (deterministic requester-as-victim
-///    policy).  Cooperative runners retry `WouldBlock` steps when other
-///    transactions make progress.
-///  * `Acquire` parks the calling thread on its bucket's condition variable
-///    until the conflict clears, the wait would close a waits-for cycle
-///    (`Deadlock`, same requester-as-victim policy), or `timeout` elapses
-///    (`WouldBlock` carrying a lock-wait-timeout message — the caller
-///    treats it like any other retryable conflict).  Every relevant
-///    release notifies the bucket, and each waiter re-runs global deadlock
-///    detection when its recheck slice fires, so cycles formed while
-///    threads sleep are still caught.
+/// The two styles differ only in what a wakeup does:
+///
+///  * `TryAcquire` never blocks the calling thread: it answers
+///    `WouldBlock`, and the waiter is registered only when a wakeup hook is
+///    installed (`SetWakeupHook`), which the wakeup then calls so a
+///    scheduler can resume the parked session.  Without a hook,
+///    cooperative runners retry `WouldBlock` steps when other transactions
+///    make progress.
+///  * `Acquire` parks the calling thread on its registration's one-shot
+///    slot, which the wakeup signals; the thread then retries.  It returns
+///    once granted, on `Deadlock`, or when `timeout` elapses (`WouldBlock`
+///    carrying a lock-wait-timeout message — the caller treats it like any
+///    other retryable conflict).
 ///
 /// Thread-safe; at most one in-flight acquire per transaction at a time
 /// (a transaction is one session driven by one thread).
@@ -185,37 +205,22 @@ class LockManager {
   /// Non-blocking acquire; see class comment for the protocol.
   Result<LockHandle> TryAcquire(const LockSpec& spec);
 
-  /// Blocking acquire; see class comment for the protocol.  `recheck`
-  /// bounds how long a parked waiter may sleep before re-running deadlock
-  /// detection even without a release notification (the engine exposes it
-  /// as `EngineConcurrency::deadlock_check_interval`).
-  Result<LockHandle> Acquire(
-      const LockSpec& spec, std::chrono::milliseconds timeout,
-      std::chrono::milliseconds recheck = std::chrono::milliseconds(50));
+  /// Blocking acquire: the conflict decision of `TryAcquire`, then — on
+  /// conflict — park on a registered slot until a release wakes this
+  /// waiter (retry) or `timeout` expires (deregister, answer the
+  /// lock-wait-timeout `WouldBlock`).  A non-positive `timeout` answers
+  /// that `WouldBlock` at once on conflict.  One call is one wait episode
+  /// in `stats().blocked` and `wait_histogram()`, however many wakeups
+  /// and retries it takes.
+  Result<LockHandle> Acquire(const LockSpec& spec,
+                             std::chrono::milliseconds timeout);
 
   /// \brief Installs the cooperative release-notification hook (the sched
   /// layer's event-driven park/wakeup path; nullptr uninstalls).
   ///
-  /// With a hook installed, a `TryAcquire` that answers `WouldBlock`
-  /// registers the requester on its item's bucket wait list (predicate
-  /// specs on a global list) *under the same latches as the conflict
-  /// decision itself* — the atomicity that makes the path lost-wakeup
-  /// free: no release can slip between "conflict seen" and "waiter
-  /// visible".  Registrations are one-shot and FIFO.  When a conflicting
-  /// lock is released, the manager removes the longest-waiting conflicting
-  /// waiter — plus, when that head waiter wants Shared mode, every later
-  /// conflicting Shared waiter up to the first Exclusive one (reader
-  /// batching) — and invokes the hook once per removed waiter, outside
-  /// every lock-table latch.  A woken requester either acquires on its
-  /// retry or re-registers against whoever still holds the item, so a
-  /// conflicting holder always exists while anyone waits and the
-  /// notification chain never breaks; FIFO order is what keeps a hot item
-  /// from starving old waiters behind fresh arrivals.  Seniority is
-  /// assigned once per request: a woken waiter that re-registers for the
-  /// same unchanged request keeps its original place in the queue, so
-  /// reader churn cannot rotate an upgrade/X waiter to the back every
-  /// time one release of several wakes it prematurely.
-  ///
+  /// With a hook installed, a `TryAcquire` that answers `WouldBlock` has
+  /// registered the requester for exactly one wakeup (see the class
+  /// comment), delivered by calling the hook with its TxnId.
   /// `ReleaseAll(txn)` cancels `txn`'s own registration (an aborted
   /// requester never gets a stale notification) and wakes waiters for
   /// every lock it drops.  A deadlock verdict never leaves a
@@ -226,8 +231,8 @@ class LockManager {
   /// intended body.
   ///
   /// Precondition: quiescent, exactly as `SetStripeCount` (install before
-  /// any session starts).  Without a hook — the default — nothing is
-  /// registered and every path keeps its old cost.
+  /// any session starts).  Without a hook — the default — `TryAcquire`
+  /// registers nothing and every path keeps its old cost.
   void SetWakeupHook(std::function<void(TxnId)> hook);
 
   /// Releases one granted lock (no-op on unknown handles).
@@ -257,7 +262,8 @@ class LockManager {
   const obs::Histogram& wait_histogram() const { return wait_hist_; }
 
   /// Cooperative park -> wakeup-collection latency, microseconds per
-  /// delivered wakeup (the event-driven analogue of `wait_histogram`).
+  /// hook-delivered wakeup (the event-driven analogue of
+  /// `wait_histogram`; parked `Acquire` threads are not sampled here).
   const obs::Histogram& park_wakeup_histogram() const {
     return park_wakeup_hist_;
   }
@@ -286,30 +292,50 @@ class LockManager {
     LockSpec spec;
   };
 
-  /// A cooperative waiter registered for one wakeup (see SetWakeupHook).
-  /// An entry is live iff `coop_seq_.at(txn) == seq`: deregistration only
-  /// touches the graph-side maps, and stale list entries are pruned the
-  /// next time their list is scanned for wakeups (lazy invalidation keeps
+  /// A waiter's entry on a wait list, in registration order.  An entry is
+  /// live iff `waiting_.at(txn).seq == seq`: deregistration only touches
+  /// the graph-side maps, and stale list entries are pruned the next time
+  /// their list is scanned for wakeups (lazy invalidation keeps
   /// `ReleaseAll` off buckets it would otherwise have to latch purely to
   /// remove a registration).
-  struct CoopWaiter {
+  struct Waiter {
     TxnId txn;
     uint64_t seq;
+  };
+
+  /// A live registration (one per waiting transaction).
+  struct Registration {
+    uint64_t seq;
+    /// The waiting request: what releases are matched against, and what
+    /// live edge recompute and diagnostics read.
     LockSpec spec;
     /// Registration time, for the park -> wakeup latency histogram.
     std::chrono::steady_clock::time_point parked_at;
+    /// A thread parked in `Acquire` waits on this one-shot slot's future;
+    /// empty for a cooperative session, which the wakeup hook resumes.
+    /// The wakeup moves the promise out under the graph mutex and signals
+    /// it after dropping every latch: the signaller owns what it signals,
+    /// so a signal that lands after the waiter gave up and returned
+    /// touches nothing the waiter freed.
+    std::optional<std::promise<void>> park;
   };
 
-  /// One stripe: a latch, the item locks hashed here, and the condition
-  /// variable its blocked acquirers park on.
+  /// Wakeups collected under the latches, delivered after dropping them.
+  struct WakeList {
+    std::vector<TxnId> sessions;              ///< for the hook
+    std::vector<std::promise<void>> threads;  ///< parked `Acquire` calls
+  };
+
+  /// One stripe: a latch, the item locks hashed here, and their waiters.
   struct Bucket {
     mutable std::mutex mu;
-    std::condition_variable cv;
-    std::vector<HeldLock> held;
-    int waiters = 0;  ///< parked Acquire calls (guarded by mu)
-    /// Cooperative waiters on items hashed here, in registration order
-    /// (guarded by mu for the list, graph_mu_ for liveness).
-    std::vector<CoopWaiter> coop_waiters;
+    std::vector<HeldLock> held;  ///< guarded by mu
+    /// Waiters on items hashed here, in registration order (guarded by
+    /// graph_mu_, like every wait list, so a release collects wakeups for
+    /// all the locks it dropped in one graph-mutex section).
+    std::vector<Waiter> waiters;
+    /// Live registrations on items hashed here (see MayHaveWaitersLocked).
+    std::atomic<int> registered{0};
   };
 
   size_t BucketOf(const ItemId& id) const;
@@ -329,9 +355,9 @@ class LockManager {
   std::vector<TxnId> BlockersGlobalLocked(const LockSpec& spec) const;
 
   /// Cycle probe from `requester`.  Requires every bucket latch plus the
-  /// graph mutex: parked waiters' edges are recomputed live from their
+  /// graph mutex: registered waiters' edges are recomputed live from their
   /// waiting spec instead of trusting `waits_for_`, whose recorded edges
-  /// go stale while a thread sleeps.
+  /// go stale while a waiter sleeps.
   bool WouldDeadlockLocked(TxnId requester) const;
 
   /// Removes `txn`'s outgoing edges.  Requires the graph mutex.
@@ -341,9 +367,9 @@ class LockManager {
   /// mutex.
   void RecordEdgesLocked(TxnId txn, const std::vector<TxnId>& blockers);
 
-  /// Drops `txn`'s stale cooperative edges after a granted fast-path
-  /// acquire, when any edges exist at all (the atomic probe keeps the
-  /// conflict-free hot path off the graph mutex entirely).
+  /// Drops `txn`'s stale edges after a granted fast-path acquire, when
+  /// any edges exist at all (the atomic probe keeps the conflict-free hot
+  /// path off the graph mutex entirely).
   void MaybeClearStaleEdges(TxnId txn);
 
   /// Grants an item lock into bucket `bi` (its latch held) or — with every
@@ -351,34 +377,59 @@ class LockManager {
   LockHandle GrantItemLocked(size_t bi, const LockSpec& spec);
   LockHandle GrantPredLocked(const LockSpec& spec);
 
-  /// Registers `spec.txn` for one cooperative wakeup (at most one live
-  /// registration per transaction).  Requires every bucket latch plus the
-  /// graph mutex — the conflict path of `TryAcquire` holds both, which is
-  /// what makes registration atomic with the `WouldBlock` answer.
-  void RegisterCoopWaiterLocked(const LockSpec& spec);
+  /// The conflict decision both protocols share: grant, or record edges
+  /// and answer `Deadlock` or `WouldBlock`.  A `WouldBlock` answer has
+  /// registered the requester when `park` is non-null (a fresh slot whose
+  /// future is stored in `*park`) or a wakeup hook is installed.
+  Result<LockHandle> AcquireOrRegister(const LockSpec& spec,
+                                       std::future<void>* park);
 
-  /// Drops `txn`'s live registration, waiting entry, and edges (no-op
-  /// without one).  Requires the graph mutex; the list entry goes stale
-  /// and is pruned lazily.
-  void DeregisterCoopLocked(TxnId txn);
+  /// Registers `spec.txn`, which has no live registration, for one
+  /// wakeup: through `park` for a blocked thread, through the hook
+  /// otherwise.  Requires every bucket latch plus the graph mutex —
+  /// the conflict path holds both, which is what makes registration
+  /// atomic with the `WouldBlock` answer.
+  void RegisterWaiterLocked(const LockSpec& spec,
+                            std::optional<std::promise<void>> park);
 
-  /// FIFO wakeup selection for one released `spec`: scans `bucket`'s wait
-  /// list (nullptr = every bucket's; the caller holds the corresponding
-  /// latches) plus the predicate wait list, prunes stale entries,
-  /// deregisters the chosen waiters, and appends them to `out`.  Requires
-  /// the graph mutex.
-  void CollectCoopWakeupsLocked(const LockSpec& released, Bucket* bucket,
-                                std::vector<TxnId>& out);
+  /// Drops `txn`'s live registration and edges (no-op without one).
+  /// Requires the graph mutex; the list entry goes stale and is pruned
+  /// lazily.
+  void DeregisterWaiterLocked(TxnId txn);
 
-  /// Delivers collected wakeups to the hook.  Call with NO latches held.
-  void NotifyCoopWaiters(const std::vector<TxnId>& wake);
+  /// The live-registration count `spec` belongs to: its item's bucket's,
+  /// or the predicate one.
+  std::atomic<int>& RegisteredCount(const LockSpec& spec);
+
+  /// Whether a waiter that a lock released from `bucket`'s held list
+  /// (nullptr: the predicate table) blocked may still be registered, so
+  /// the release must collect wakeups.  Requires that bucket's latch
+  /// (every bucket latch for nullptr), and must be read under the same
+  /// latch as the erase, never cached across latches: registration
+  /// raises the counts under every bucket latch, so it is ordered against
+  /// the read — a read taken before the latch could miss a waiter that
+  /// registered in between and leave it parked until its timeout (or
+  /// forever, for a hook-driven session).  Deregistration lowers the
+  /// counts under the graph mutex alone, so a stale read only errs toward
+  /// a needless collection.
+  bool MayHaveWaitersLocked(const Bucket* bucket) const;
+
+  /// FIFO wakeup selection for one released `spec`: scans its item's
+  /// bucket wait list (every bucket's for a predicate) plus the predicate
+  /// wait list, prunes stale entries, deregisters the chosen waiters, and
+  /// appends them to `out`.  Requires the graph mutex.
+  void CollectWakeupsLocked(const LockSpec& released, WakeList& out);
+
+  /// Signals collected parked threads and hands collected sessions to the
+  /// hook.  Call with NO latches held.
+  void NotifyWaiters(WakeList& wake);
 
   /// "item 'x'" / "predicate <p>" for conflict messages.
   static std::string Describe(const LockSpec& spec);
   static std::string JoinTxns(const std::vector<TxnId>& txns);
 
-  /// The stripes.  unique_ptr because Bucket (mutex + condvar) is neither
-  /// movable nor copyable; the vector itself is resized only by
+  /// The stripes.  unique_ptr because Bucket (a mutex and an atomic) is
+  /// neither movable nor copyable; the vector itself is resized only by
   /// `SetStripeCount` on an idle manager.
   std::vector<std::unique_ptr<Bucket>> buckets_;
 
@@ -387,16 +438,15 @@ class LockManager {
   /// mutator's held set).
   std::vector<HeldLock> pred_held_;
 
-  /// Parked Acquire calls with predicate specs (they park on bucket 0;
-  /// item releases in other buckets poke bucket 0 when this is non-zero).
-  std::atomic<int> pred_waiters_{0};
-
-  /// Graph mutex: guards waits_for_ and waiting_.  Always taken after
-  /// bucket latches, never before.
+  /// Graph mutex: guards waits_for_, waiting_, every wait list (the
+  /// buckets' too), and the bookkeeping below.  Always taken after bucket
+  /// latches, never before.
   mutable std::mutex graph_mu_;
   std::map<TxnId, std::set<TxnId>> waits_for_;
-  /// Requests currently parked in `Acquire`, for live edge recompute.
-  std::map<TxnId, LockSpec> waiting_;
+  /// Live registrations of both kinds: the liveness test stale list
+  /// entries are pruned against, and the requests deadlock detection
+  /// recomputes edges from.
+  std::map<TxnId, Registration> waiting_;
   /// Number of transactions with recorded edges (== waits_for_.size(),
   /// maintained under graph_mu_): the fast path's "is the graph empty?"
   /// probe.
@@ -404,14 +454,8 @@ class LockManager {
 
   std::atomic<LockHandle> next_seq_{1};
 
-  // --- cooperative release notification (SetWakeupHook) --------------------
-
-  /// Cooperative waiters with predicate specs (guarded by graph_mu_).
-  std::vector<CoopWaiter> coop_pred_waiters_;
-  /// Live registrations: txn -> its current seq stamp (guarded by
-  /// graph_mu_) — the membership test stale list entries are pruned
-  /// against.
-  std::map<TxnId, uint64_t> coop_seq_;
+  /// Waiters with predicate specs (guarded by graph_mu_).
+  std::vector<Waiter> pred_waiters_;
   /// Wait-episode seniority memory (guarded by graph_mu_).  A wakeup
   /// deregisters its waiter before the retry proves anything; when the
   /// retry still conflicts and re-registers *the same request*, the
@@ -426,13 +470,12 @@ class LockManager {
     LockMode mode;
     std::string key;  ///< the item id, or the predicate's ToString form
   };
-  std::map<TxnId, StickySeq> coop_sticky_;
+  std::map<TxnId, StickySeq> sticky_;
   /// Does `spec` re-issue the request `s` remembers?
   static bool StickyMatches(const StickySeq& s, const LockSpec& spec);
-  uint64_t coop_next_seq_ = 0;  ///< guarded by graph_mu_
-  /// Fast probe ("anyone registered at all?") so releases skip the graph
-  /// mutex when the hook is unused or nobody waits.
-  std::atomic<int> coop_waiter_count_{0};
+  uint64_t next_waiter_seq_ = 0;  ///< guarded by graph_mu_
+  /// Live predicate registrations (see MayHaveWaitersLocked).
+  std::atomic<int> pred_registered_{0};
   /// Written only by SetWakeupHook on a quiescent manager; invoked by
   /// releases after probing has_wakeup_hook_.
   std::function<void(TxnId)> wakeup_hook_;

@@ -3,8 +3,10 @@
 // concurrency, not just under cooperative interleaving.  Run these under
 // `./scripts/check.sh --tsan` to certify the thread-safety contract.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -80,18 +82,14 @@ TEST(LockManagerBlockingTest, TimeoutAnswersWouldBlock) {
   EXPECT_TRUE(h3.ok());
 }
 
-TEST(LockManagerBlockingTest, CustomDbOptionsTimeoutAndCheckInterval) {
-  // The knobs ride DbOptions end to end: a short custom lock-wait timeout
-  // must answer kWouldBlock in roughly that time (not the 250ms default),
-  // and the custom deadlock-check interval must reach the engine.
+TEST(LockManagerBlockingTest, CustomDbOptionsTimeout) {
+  // The knob rides DbOptions end to end: a short custom lock-wait timeout
+  // must answer kWouldBlock in roughly that time (not the 250ms default).
   DbOptions opts(IsolationLevel::kSerializable);
   opts.mode = ConcurrencyMode::kBlocking;
   opts.lock_wait_timeout = milliseconds(120);
-  opts.deadlock_check_interval = milliseconds(10);
   Database db(opts);
   EXPECT_EQ(db.engine().concurrency().lock_wait_timeout, milliseconds(120));
-  EXPECT_EQ(db.engine().concurrency().deadlock_check_interval,
-            milliseconds(10));
   ASSERT_TRUE(db.Load("x", Value(1)).ok());
 
   Transaction holder = db.Begin();
@@ -149,6 +147,179 @@ TEST(LockManagerBlockingTest, DeadlockAcrossSleepingWaitersIsDetected) {
   EXPECT_EQ(deadlocks.load(), 1);
   EXPECT_EQ(grants.load(), 1);
   EXPECT_EQ(lm.stats().deadlocks, 1u);
+}
+
+// Spins until `lm` has counted `n` blocked acquires (each parked
+// `Acquire` counts once when its wait begins): the handshake that orders
+// parks without a bare sleep.
+void AwaitBlocked(const LockManager& lm, uint64_t n) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(10);
+  while (lm.stats().blocked < n &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  ASSERT_GE(lm.stats().blocked, n);
+}
+
+// Thread-safe record of the order in which parked acquirers were granted.
+class GrantLog {
+ public:
+  void Add(TxnId t) {
+    std::lock_guard<std::mutex> g(mu_);
+    order_.push_back(t);
+  }
+  std::vector<TxnId> Order() const {
+    std::lock_guard<std::mutex> g(mu_);
+    return order_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<TxnId> order_;
+};
+
+TEST(LockManagerBlockingTest, WaitersAreGrantedInParkOrder) {
+  // Three X waiters park behind T1's X lock in a fixed order.  Each
+  // release wakes only the head of the queue, so the grants follow the
+  // park order: T1's release grants T2, T2's grants T3, T3's grants T4.
+  LockManager lm;
+  ASSERT_TRUE(lm.TryAcquire(LockSpec::WriteItem(1, "k", std::nullopt,
+                                                std::nullopt))
+                  .ok());
+  GrantLog log;
+  std::vector<std::thread> waiters;
+  for (TxnId t : {2, 3, 4}) {
+    waiters.emplace_back([&lm, &log, t] {
+      auto r = lm.Acquire(LockSpec::WriteItem(t, "k", std::nullopt,
+                                              std::nullopt),
+                          milliseconds(10000));
+      EXPECT_TRUE(r.ok()) << "T" << t << ": " << r.status().ToString();
+      log.Add(t);
+      lm.ReleaseAll(t);  // hands the item to the next waiter
+    });
+    AwaitBlocked(lm, t - 1);  // T<t> has parked before the next one starts
+  }
+  lm.ReleaseAll(1);
+  for (auto& w : waiters) w.join();
+  EXPECT_EQ(log.Order(), (std::vector<TxnId>{2, 3, 4}));
+  EXPECT_EQ(lm.stats().blocked, 3u);
+  EXPECT_EQ(lm.stats().timeouts, 0u);
+  EXPECT_EQ(lm.stats().deadlocks, 0u);
+  EXPECT_EQ(lm.HeldCount(), 0u);
+}
+
+TEST(LockManagerBlockingTest, SharedWaitersAreGrantedTogetherUpToFirstX) {
+  // Park order S(T2), S(T3), X(T4), S(T5) behind T1's X lock.  T1's
+  // release wakes the S head and batches T3 with it, but stops at T4: T5,
+  // compatible with the granted readers, still queues behind the writer.
+  LockManager lm;
+  ASSERT_TRUE(lm.TryAcquire(LockSpec::WriteItem(1, "k", std::nullopt,
+                                                std::nullopt))
+                  .ok());
+  GrantLog log;
+  std::atomic<bool> release_readers{false};
+  std::vector<std::thread> waiters;
+  const std::vector<std::pair<TxnId, LockMode>> order = {
+      {2, LockMode::kShared},
+      {3, LockMode::kShared},
+      {4, LockMode::kExclusive},
+      {5, LockMode::kShared}};
+  for (const auto& [t, mode] : order) {
+    waiters.emplace_back([&, t = t, mode = mode] {
+      LockSpec spec = mode == LockMode::kShared
+                          ? LockSpec::ReadItem(t, "k", std::nullopt)
+                          : LockSpec::WriteItem(t, "k", std::nullopt,
+                                                std::nullopt);
+      auto r = lm.Acquire(spec, milliseconds(10000));
+      EXPECT_TRUE(r.ok()) << "T" << t << ": " << r.status().ToString();
+      log.Add(t);
+      // The batched readers hold their S locks until both are granted.
+      while (t <= 3 && !release_readers.load()) {
+        std::this_thread::sleep_for(milliseconds(1));
+      }
+      lm.ReleaseAll(t);
+    });
+    AwaitBlocked(lm, t - 1);
+  }
+  lm.ReleaseAll(1);
+  // The wakeups were chosen inside ReleaseAll: the writer and the reader
+  // behind it are still registered.
+  std::vector<TxnId> still_waiting;
+  for (const auto& w : lm.DebugSnapshot().waiters) {
+    still_waiting.push_back(w.txn);
+  }
+  EXPECT_EQ(still_waiting, (std::vector<TxnId>{4, 5}));
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(10);
+  while (log.Order().size() < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  std::vector<TxnId> readers = log.Order();
+  std::sort(readers.begin(), readers.end());
+  EXPECT_EQ(readers, (std::vector<TxnId>{2, 3}));
+  release_readers.store(true);
+  for (auto& w : waiters) w.join();
+  const std::vector<TxnId> all = log.Order();
+  ASSERT_EQ(all.size(), 4u);
+  EXPECT_EQ(all[2], 4u);
+  EXPECT_EQ(all[3], 5u);
+  EXPECT_EQ(lm.stats().timeouts, 0u);
+  EXPECT_EQ(lm.HeldCount(), 0u);
+}
+
+TEST(LockManagerBlockingTest, DebugSnapshotTellsBlockedThreadFromParkedSession) {
+  // Both kinds of waiter share one registration; the dump must still say
+  // which is which.  T2 is a thread parked in Acquire, T3 a cooperative
+  // session registered for the hook.
+  LockManager lm;
+  std::vector<TxnId> hooked;  // written by ReleaseAll on this thread
+  lm.SetWakeupHook([&](TxnId t) { hooked.push_back(t); });
+  ASSERT_TRUE(lm.TryAcquire(LockSpec::WriteItem(1, "a", std::nullopt,
+                                                std::nullopt))
+                  .ok());
+  ASSERT_TRUE(lm.TryAcquire(LockSpec::WriteItem(1, "b", std::nullopt,
+                                                std::nullopt))
+                  .ok());
+  std::atomic<bool> granted{false};
+  std::thread parked([&] {
+    auto r = lm.Acquire(LockSpec::WriteItem(2, "a", std::nullopt,
+                                            std::nullopt),
+                        milliseconds(10000));
+    granted.store(r.ok());
+  });
+  AwaitBlocked(lm, 1);
+  EXPECT_TRUE(lm.TryAcquire(LockSpec::WriteItem(3, "b", std::nullopt,
+                                                std::nullopt))
+                  .status()
+                  .IsWouldBlock());
+
+  const LockDebugSnapshot snap = lm.DebugSnapshot();
+  ASSERT_EQ(snap.waiters.size(), 2u);
+  EXPECT_EQ(snap.waiters[0].txn, 2u);
+  EXPECT_FALSE(snap.waiters[0].cooperative);
+  EXPECT_EQ(snap.waiters[1].txn, 3u);
+  EXPECT_TRUE(snap.waiters[1].cooperative);
+  const std::string dump = snap.ToString();
+  EXPECT_NE(dump.find("T2 wants X on item 'a' [blocked thread]"),
+            std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("T3 wants X on item 'b' [parked session]"),
+            std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("T2 -> T1"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("T3 -> T1"), std::string::npos) << dump;
+
+  lm.ReleaseAll(1);
+  parked.join();
+  EXPECT_TRUE(granted.load());
+  EXPECT_EQ(hooked, (std::vector<TxnId>{3}));  // the thread got no hook call
+  // The hook ledger counts sessions only: one park, one wakeup.
+  EXPECT_EQ(lm.stats().coop_parks, 1u);
+  EXPECT_EQ(lm.stats().wakeups, 1u);
+  lm.ReleaseAll(2);
+  lm.ReleaseAll(3);
 }
 
 // --- engine stress under the blocking Database ------------------------------

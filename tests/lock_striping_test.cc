@@ -125,53 +125,91 @@ TEST(LockStripingTest, CooperativeDeadlockAcrossBuckets) {
   EXPECT_EQ(lm.stats().deadlocks, 1u);
 }
 
+// Spins until `lm` has counted `n` blocked acquires (each parked
+// `Acquire` counts once when its wait begins), so a test never relies on
+// a bare sleep to know a thread has parked.
+void AwaitBlocked(const LockManager& lm, uint64_t n) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(10);
+  while (lm.stats().blocked < n &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  ASSERT_GE(lm.stats().blocked, n);
+}
+
 TEST(LockStripingTest, BlockingDeadlockAcrossBucketsDetectedWhileParked) {
   // T1 parks waiting for T2's lock; T2 then closes the cycle from another
-  // thread.  One of the two must be named victim (the parked waiter's
-  // recheck or the second requester's probe), and both threads terminate.
+  // thread.  The requester that closes the cycle is the victim: T2's own
+  // probe, run when its wait would begin, finds the cycle through T1's
+  // live edge.  T2's rollback then hands omega to T1.
   LockManager lm(16);
   ASSERT_TRUE(lm.TryAcquire(W(1, "alpha")).ok());
   ASSERT_TRUE(lm.TryAcquire(W(2, "omega")).ok());
 
-  std::atomic<int> deadlocks{0};
+  Status t1_status = Status::OK();
   std::thread t1([&] {
-    auto r = lm.Acquire(W(1, "omega"), milliseconds(2000), milliseconds(10));
-    if (!r.ok() && r.status().IsDeadlock()) deadlocks.fetch_add(1);
+    auto r = lm.Acquire(W(1, "omega"), milliseconds(5000));
+    t1_status = r.status();
     lm.ReleaseAll(1);
   });
-  // Give T1 time to park, then close the cycle.
-  std::this_thread::sleep_for(milliseconds(50));
-  std::thread t2([&] {
-    auto r = lm.Acquire(W(2, "alpha"), milliseconds(2000), milliseconds(10));
-    if (!r.ok() && r.status().IsDeadlock()) deadlocks.fetch_add(1);
-    lm.ReleaseAll(2);
-  });
+  AwaitBlocked(lm, 1);  // T1 has parked
+  auto r2 = lm.Acquire(W(2, "alpha"), milliseconds(5000));
+  EXPECT_TRUE(r2.status().IsDeadlock()) << r2.status().ToString();
+  lm.ReleaseAll(2);
   t1.join();
-  t2.join();
-  EXPECT_GE(deadlocks.load(), 1);
-  EXPECT_GE(lm.stats().deadlocks, 1u);
+  EXPECT_TRUE(t1_status.ok()) << t1_status.ToString();
+  EXPECT_EQ(lm.stats().deadlocks, 1u);
+  EXPECT_EQ(lm.stats().timeouts, 0u);
   EXPECT_EQ(lm.HeldCount(), 0u);
 }
 
 TEST(LockStripingTest, BlockingHandoffAcrossReleaseAll) {
-  // A waiter parked on a bucket must be woken by ReleaseAll from another
-  // thread (no lost wakeup), well before its timeout.
+  // A waiter parked on the wait list must be woken by ReleaseAll from
+  // another thread (no lost wakeup), well before its timeout.
   LockManager lm(16);
   ASSERT_TRUE(lm.TryAcquire(W(1, "hot")).ok());
   std::atomic<bool> granted{false};
   std::thread waiter([&] {
-    auto r = lm.Acquire(W(2, "hot"), milliseconds(5000), milliseconds(1000));
+    auto r = lm.Acquire(W(2, "hot"), milliseconds(5000));
     granted.store(r.ok());
   });
-  std::this_thread::sleep_for(milliseconds(50));
+  AwaitBlocked(lm, 1);
   const auto t0 = std::chrono::steady_clock::now();
   lm.ReleaseAll(1);
   waiter.join();
   const auto waited = std::chrono::steady_clock::now() - t0;
   EXPECT_TRUE(granted.load());
-  // Notification, not the 1000ms recheck slice, must have woken it.
+  // The release's wakeup, not the 5000ms timeout, must have woken it.
   EXPECT_LT(waited, milliseconds(900));
   lm.ReleaseAll(2);
+}
+
+TEST(LockStripingTest, BlockingPredicateWaiterWokenByItemRelease) {
+  // A parked predicate waiter is blocked by an item lock that lives in
+  // some bucket; that item's release must wake it directly (the predicate
+  // wait list is scanned on every release), well before its timeout.
+  LockManager lm(16);
+  Row covered = Row().Set("active", true);
+  ASSERT_TRUE(lm.TryAcquire(LockSpec::WriteItem(1, "emp7", covered, covered))
+                  .ok());
+  Predicate actives = Predicate::Cmp("active", CompareOp::kEq, true);
+  std::atomic<bool> granted{false};
+  std::thread waiter([&] {
+    auto r = lm.Acquire(LockSpec::ReadPredicate(2, actives),
+                        milliseconds(5000));
+    granted.store(r.ok());
+  });
+  AwaitBlocked(lm, 1);
+  const auto t0 = std::chrono::steady_clock::now();
+  lm.ReleaseAll(1);
+  waiter.join();
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_TRUE(granted.load());
+  EXPECT_LT(waited, milliseconds(900));
+  EXPECT_EQ(lm.stats().timeouts, 0u);
+  lm.ReleaseAll(2);
+  EXPECT_EQ(lm.HeldCount(), 0u);
 }
 
 // Stress: threads hammer overlapping hot keys through the blocking
@@ -200,7 +238,7 @@ TEST(LockStripingStressTest, NoLostWakeupsNoStrandedLocks) {
         // Mixed order on purpose: half the threads go high->low.
         if ((t % 2 == 0) == (a < b)) std::swap(a, b);
         auto h1 = lm.Acquire(W(txn, "hot" + std::to_string(a)),
-                             milliseconds(500), milliseconds(5));
+                             milliseconds(500));
         if (!h1.ok()) {
           if (h1.status().IsDeadlock()) deadlock_aborts.fetch_add(1);
           if (h1.status().IsWouldBlock()) timeouts.fetch_add(1);
@@ -208,7 +246,7 @@ TEST(LockStripingStressTest, NoLostWakeupsNoStrandedLocks) {
           continue;
         }
         auto h2 = lm.Acquire(W(txn, "hot" + std::to_string(b)),
-                             milliseconds(500), milliseconds(5));
+                             milliseconds(500));
         if (h2.ok()) {
           granted_pairs.fetch_add(1);
         } else {
