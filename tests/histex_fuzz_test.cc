@@ -165,6 +165,44 @@ TEST(HistexFuzz, OracleReadConsistencyPinned) {
   }
 }
 
+TEST(HistexFuzz, SerializableSIPinned) {
+  // Serializable SI's seeded runs, pinned literally: committed, aborted,
+  // checker edges and SSI dangerous-structure refusals.  Any change to
+  // which rw-antidependencies the engine tracks, or to which pivots it
+  // refuses, moves a tuple.  The run size is fixed so HISTEX_TXNS cannot
+  // change it.
+  struct Pin {
+    uint64_t seed;
+    int shards;
+    uint64_t committed, aborted, edges, ssi_aborts;
+  };
+  const std::vector<Pin> pins = {
+      {1, 1, 111, 89, 248, 50},
+      {2, 1, 122, 78, 301, 36},
+      {3, 1, 113, 87, 248, 47},
+      {4, 1, 128, 72, 269, 34},
+      {5, 1, 110, 90, 245, 40},
+      {1, 3, 129, 71, 322, 46},
+      {2, 3, 140, 60, 407, 33},
+      {3, 3, 135, 65, 343, 30},
+      {4, 3, 147, 53, 356, 30},
+      {5, 3, 124, 76, 309, 40},
+  };
+  for (const Pin& pin : pins) {
+    HistexConfig cfg;
+    cfg.seed = pin.seed;
+    cfg.engine = IsolationLevel::kSerializableSI;
+    cfg.shards = pin.shards;
+    cfg.txns = 200;
+    HistexResult r = RunHistex(cfg);
+    ASSERT_TRUE(r.ok) << cfg.ToString() << "\n" << r.detail;
+    EXPECT_EQ(r.committed, pin.committed) << cfg.ToString();
+    EXPECT_EQ(r.aborted, pin.aborted) << cfg.ToString();
+    EXPECT_EQ(r.report.edges_added, pin.edges) << cfg.ToString();
+    EXPECT_EQ(r.stats.ssi_aborts, pin.ssi_aborts) << cfg.ToString();
+  }
+}
+
 // --- the storage-backend dimension: the hash backend under the same
 // adversarial coverage that found the PR 9 SI bug --------------------------
 
