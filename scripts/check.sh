@@ -21,8 +21,11 @@
 #            (default 30): the formerly-flaky SSI serializability stress
 #            test (ConcurrencyTest.
 #            CommittedSerializableHistoriesStaySerializable, which before
-#            the commit-pipeline fix failed ~1/15 TSan runs), then the
-#            blocking lock-wait suite (LockManagerBlockingTest.*,
+#            the commit-pipeline fix failed ~1/15 TSan runs) together with
+#            ConcurrencyTest.BeginRacesWatermarkGc (begins under the
+#            shared table latch racing a GC pass after every commit: no
+#            begin refused below the floor, no read of a pruned chain),
+#            then the blocking lock-wait suite (LockManagerBlockingTest.*,
 #            LockStripingTest.Blocking*, LockStripingStressTest.*: park
 #            slots, FIFO handoff, timeouts racing wakeups).  Zero failures
 #            required; any data race, non-serializable committed history,
@@ -165,8 +168,8 @@ if [[ "$CRASH" -eq 1 ]]; then
 fi
 
 if [[ "$STRESS" -eq 1 ]]; then
-  # The stress loops: the SSI commit-pipeline regression pin, then the
-  # lock-wait pin (a blocked thread parks on its registration's one-shot
+  # The stress loops: the SSI commit-pipeline regression pin and the
+  # begin-versus-GC race, then the lock-wait pin (a blocked thread parks on its registration's one-shot
   # slot; a release signals it outside the latches, possibly racing the
   # waiter's own timeout).  One gtest process per loop repeats its tests
   # so every iteration reuses the warmed TSan runtime;
@@ -174,7 +177,7 @@ if [[ "$STRESS" -eq 1 ]]; then
   # exit.  TSan itself fails the run on any data race.
   RUNS="${STRESS_RUNS:-30}"
   for FILTER in \
-      'ConcurrencyTest.CommittedSerializableHistoriesStaySerializable' \
+      'ConcurrencyTest.CommittedSerializableHistoriesStaySerializable:ConcurrencyTest.BeginRacesWatermarkGc' \
       'LockManagerBlockingTest.*:LockStripingTest.Blocking*:LockStripingStressTest.*'; do
     TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     "$BUILD_DIR"/critique_tests --gtest_filter="$FILTER" \

@@ -25,7 +25,7 @@ Status LockingEngine::Load(const ItemId& id, Row row) {
 }
 
 Status LockingEngine::Begin(TxnId txn) {
-  std::unique_lock<std::shared_mutex> tl(table_mu_);
+  TableLock tl(table_mu_);
   return BeginLocked(txn, policy_);
 }
 
@@ -37,19 +37,16 @@ Status LockingEngine::BeginWithLevel(TxnId txn, IsolationLevel level) {
         " contract: only the Table 2 locking levels map onto this lock "
         "scheduler");
   }
-  std::unique_lock<std::shared_mutex> tl(table_mu_);
+  TableLock tl(table_mu_);
   return BeginLocked(txn, PolicyFor(level));
 }
 
 Status LockingEngine::BeginLocked(TxnId txn, LockingPolicy policy) {
-  if (txn < 1) return Status::InvalidArgument("txn ids start at 1");
-  if (txns_.count(txn)) {
-    return Status::InvalidArgument("txn " + std::to_string(txn) +
-                                   " already used");
-  }
-  TxnState& st = txns_[txn];
-  st.active = true;
-  st.policy = policy;
+  CRITIQUE_RETURN_NOT_OK(txns_.Register(txn, [&](TxnState& st) {
+    st.active = true;
+    st.policy = policy;
+    return Status::OK();
+  }));
   // Informational, buffered with the next sync (see the SI engine).
   if (wal_ != nullptr) wal_->Append(WalRecord::Begin(txn));
   Trace(txn, obs::TraceEventType::kBegin);
@@ -66,28 +63,28 @@ std::string LockingEngine::DebugDump() const {
   return lock_manager_.DebugSnapshot().ToString();
 }
 
-Status LockingEngine::CheckActive(TxnId txn) const {
-  auto it = txns_.find(txn);
-  if (it == txns_.end() || !it->second.active) {
+Result<LockingEngine::TxnState*> LockingEngine::ActiveState(TxnId txn) {
+  TxnState* st = txns_.Find(txn);
+  if (st == nullptr || !st->active) {
     return Status::TransactionAborted("txn " + std::to_string(txn) +
                                       " is not active");
   }
-  if (it->second.prepared) {
+  if (st->prepared) {
     return Status::FailedPrecondition(
         "txn " + std::to_string(txn) +
         " is prepared (in doubt); only CommitPrepared/AbortPrepared may end "
         "it");
   }
-  return Status::OK();
+  return st;
 }
 
-Status LockingEngine::CheckPrepared(TxnId txn) const {
-  auto it = txns_.find(txn);
-  if (it == txns_.end() || !it->second.active || !it->second.prepared) {
+Result<LockingEngine::TxnState*> LockingEngine::PreparedState(TxnId txn) {
+  TxnState* st = txns_.Find(txn);
+  if (st == nullptr || !st->active || !st->prepared) {
     return Status::FailedPrecondition("txn " + std::to_string(txn) +
                                       " is not prepared");
   }
-  return Status::OK();
+  return st;
 }
 
 std::optional<Row> LockingEngine::StoreGet(const ItemId& id) const {
@@ -96,7 +93,7 @@ std::optional<Row> LockingEngine::StoreGet(const ItemId& id) const {
 }
 
 void LockingEngine::Rollback(TxnId txn) {
-  TxnState& st = txns_.find(txn)->second;
+  TxnState& st = *txns_.Find(txn);
   {
     std::unique_lock<std::shared_mutex> sl(store_mu_);
     for (auto it = st.undo.rbegin(); it != st.undo.rend(); ++it) {
@@ -145,9 +142,11 @@ Result<std::optional<Row>> LockingEngine::DoRead(TableLock& lk, TxnId txn,
                                                  const ItemId& id,
                                                  Action::Type type,
                                                  const std::string& cursor) {
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-  // Copied, not referenced: a blocking Acquire drops the table latch.
-  const LockingPolicy pol = txns_.find(txn)->second.policy;
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, ActiveState(txn));
+  // Copied: the policy is read again after a blocking Acquire has dropped
+  // the table latch.  The state itself stays put (nodes are stable and
+  // this engine never erases one).
+  const LockingPolicy pol = st->policy;
 
   LockHandle handle = 0;
   if (pol.read_locks) {
@@ -173,7 +172,7 @@ Result<std::optional<Row>> LockingEngine::DoRead(TableLock& lk, TxnId txn,
 
   if (type == Action::Type::kCursorRead && pol.cursor_stability) {
     // The cursor moved: drop the previous position's lock, hold this one.
-    CursorState& cs = txns_.find(txn)->second.cursors[cursor];
+    CursorState& cs = st->cursors[cursor];
     if (cs.lock != 0) lock_manager_.Release(cs.lock);
     cs.item = id;
     cs.lock = handle;  // held until the cursor moves or closes
@@ -203,8 +202,8 @@ Result<std::optional<Row>> LockingEngine::FetchCursorNamed(
 Result<std::vector<std::pair<ItemId, Row>>> LockingEngine::ReadPredicate(
     TxnId txn, const std::string& name, const Predicate& pred) {
   TableLock lk(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-  const LockingPolicy pol = txns_.find(txn)->second.policy;
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, ActiveState(txn));
+  const LockingPolicy pol = st->policy;
 
   LockHandle handle = 0;
   if (pol.read_locks) {
@@ -235,7 +234,7 @@ Result<std::vector<std::pair<ItemId, Row>>> LockingEngine::ReadPredicate(
 Status LockingEngine::DoWrite(TableLock& lk, TxnId txn, const ItemId& id,
                               std::optional<Row> new_row, Action::Type type,
                               bool is_insert) {
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
 
   std::optional<Row> before = StoreGet(id);
   LockSpec spec = LockSpec::WriteItem(txn, id, before, new_row);
@@ -277,7 +276,7 @@ Status LockingEngine::DoWrite(TableLock& lk, TxnId txn, const ItemId& id,
     return precondition;
   }
 
-  TxnState& st = txns_.find(txn)->second;
+  TxnState& st = *state;
   st.undo.push_back(UndoRecord{id, std::move(before)});
   if (wal_ != nullptr) st.redo[id] = std::move(new_row);
 
@@ -312,7 +311,7 @@ Status LockingEngine::Delete(TxnId txn, const ItemId& id) {
 Result<size_t> LockingEngine::DoPredicateWrite(
     TableLock& lk, TxnId txn, const std::string& name, const Predicate& pred,
     const std::function<std::optional<Row>(const Row&)>& transform) {
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
 
   // "Write locks on data items and predicates (always the same)": the
   // bulk write takes a Write predicate lock covering current rows and
@@ -320,7 +319,7 @@ Result<size_t> LockingEngine::DoPredicateWrite(
   CRITIQUE_ASSIGN_OR_RETURN(
       LockHandle handle, Acquire(lk, txn, LockSpec::WritePredicate(txn, pred)));
 
-  TxnState& st = txns_.find(txn)->second;
+  TxnState& st = *state;
   size_t rows_touched = 0;
   {
     std::unique_lock<std::shared_mutex> sl(store_mu_);
@@ -381,12 +380,11 @@ Status LockingEngine::CloseCursor(TxnId txn) {
 
 Status LockingEngine::CloseCursorNamed(TxnId txn, const std::string& cursor) {
   TableLock lk(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-  TxnState& st = txns_.find(txn)->second;
-  auto it = st.cursors.find(cursor);
-  if (it != st.cursors.end()) {
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, ActiveState(txn));
+  auto it = st->cursors.find(cursor);
+  if (it != st->cursors.end()) {
     if (it->second.lock != 0) lock_manager_.Release(it->second.lock);
-    st.cursors.erase(it);
+    st->cursors.erase(it);
   }
   return Status::OK();
 }
@@ -395,8 +393,8 @@ Status LockingEngine::Commit(TxnId txn) {
   std::optional<uint64_t> wal_lsn;
   {
     TableLock lk(table_mu_);
-    CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-    TxnState& st = txns_.find(txn)->second;
+    CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+    TxnState& st = *state;
     st.active = false;
     st.undo.clear();
     st.cursors.clear();
@@ -421,7 +419,7 @@ Status LockingEngine::Commit(TxnId txn) {
 
 Status LockingEngine::Abort(TxnId txn) {
   TableLock lk(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(ActiveState(txn).status());
   Rollback(txn);
   recorder_.Count(&EngineStats::aborts);
   Trace(txn, obs::TraceEventType::kAbort, obs::AbortReason::kExplicit);
@@ -432,12 +430,12 @@ Status LockingEngine::Prepare(TxnId txn) {
   std::optional<uint64_t> wal_lsn;
   {
     TableLock lk(table_mu_);
-    CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+    CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
     // A lock scheduler's commit cannot fail: every conflict was already
     // resolved when the lock was granted.  Prepare therefore only pins the
     // transaction — locks stay held, undo stays applicable — until the
     // coordinator's decision.
-    TxnState& st = txns_.find(txn)->second;
+    TxnState& st = *state;
     st.prepared = true;
     if (wal_ != nullptr) {
       if (!st.redo.empty()) {
@@ -458,8 +456,8 @@ Status LockingEngine::CommitPrepared(TxnId txn) {
   std::optional<uint64_t> wal_lsn;
   {
     TableLock lk(table_mu_);
-    CRITIQUE_RETURN_NOT_OK(CheckPrepared(txn));
-    TxnState& st = txns_.find(txn)->second;
+    CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, PreparedState(txn));
+    TxnState& st = *state;
     st.prepared = false;
     st.active = false;
     st.undo.clear();
@@ -478,11 +476,11 @@ Status LockingEngine::CommitPrepared(TxnId txn) {
 
 Status LockingEngine::AbortPrepared(TxnId txn) {
   TableLock lk(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckPrepared(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, PreparedState(txn));
   // Buffered only (presumed abort): a lost abort record re-restores the
   // participant in doubt and the next recovery aborts it again.
   if (wal_ != nullptr) wal_->Append(WalRecord::Abort(txn));
-  txns_.find(txn)->second.prepared = false;
+  st->prepared = false;
   Rollback(txn);
   recorder_.Count(&EngineStats::aborts);
   Trace(txn, obs::TraceEventType::kAbort, obs::AbortReason::kInDoubtDecision);
@@ -494,9 +492,9 @@ std::vector<TxnId> LockingEngine::InDoubtTransactions() const {
   // must not race the owners' own-state flag writes.
   std::unique_lock<std::shared_mutex> tl(table_mu_);
   std::vector<TxnId> out;
-  for (const auto& [t, st] : txns_) {
+  txns_.ForEach([&](TxnId t, const TxnState& st) {
     if (st.active && st.prepared) out.push_back(t);
-  }
+  });
   return out;
 }
 

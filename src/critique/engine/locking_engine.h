@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "critique/engine/engine.h"
+#include "critique/engine/txn_table.h"
 #include "critique/lock/lock_manager.h"
 #include "critique/storage/sv_store.h"
 
@@ -29,13 +30,16 @@ namespace critique {
 ///
 /// Thread-safe per the `Engine` contract, without an engine-wide latch:
 /// a reader-writer latch over the transaction table (`table_mu_`, held
-/// shared by operation bodies, exclusive only by `Begin` and admin scans)
-/// plus a store latch (`store_mu_`) and the independently striped lock
-/// table.  Logical isolation between sessions comes from the locks
-/// themselves — Table 2's point — so disjoint sessions no longer queue
-/// behind one mutex; in blocking mode lock waits run with the table latch
-/// dropped, so concurrent sessions progress (and release locks) while a
-/// thread is parked in the lock manager.
+/// shared by every operation body, `Begin` included, and exclusive only
+/// by `InDoubtTransactions`), the registry mutex inside `txns_` (the map's
+/// structure only: every insert and lookup; innermost, held across no
+/// other latch), a store latch (`store_mu_`) and the independently
+/// striped lock table.  Logical isolation between sessions comes from the
+/// locks themselves — Table 2's point — so disjoint sessions no longer
+/// queue behind one mutex, and a begin never drains the operations in
+/// flight; in blocking mode lock waits run with the table latch dropped,
+/// so concurrent sessions progress (and release locks) while a thread is
+/// parked in the lock manager.
 class LockingEngine : public Engine {
  public:
   /// Creates an engine for one of the Table 2 levels (asserts otherwise).
@@ -138,16 +142,18 @@ class LockingEngine : public Engine {
   /// only read the registry and mutate their own entry).
   using TableLock = std::shared_lock<std::shared_mutex>;
 
-  /// Registers `txn` under `policy`.  Requires `table_mu_` exclusive.
+  /// Registers `txn` under `policy` (the insert runs under the registry
+  /// mutex).  Requires `table_mu_` shared.
   Status BeginLocked(TxnId txn, LockingPolicy policy);
 
-  /// Status when `txn` is not active (kTransactionAborted) or is prepared
-  /// (kFailedPrecondition — in doubt, only the coordinator may end it) or
-  /// OK.  Requires `table_mu_` (any mode).
-  Status CheckActive(TxnId txn) const;
+  /// The state of `txn`, or the refusal when it is not active
+  /// (kTransactionAborted) or is prepared (kFailedPrecondition — in doubt,
+  /// only the coordinator may end it).  Requires `table_mu_` (any mode).
+  Result<TxnState*> ActiveState(TxnId txn);
 
-  /// Status unless `txn` is prepared (in doubt).  Requires `table_mu_`.
-  Status CheckPrepared(TxnId txn) const;
+  /// The state of `txn`, or kFailedPrecondition unless it is prepared (in
+  /// doubt).  Requires `table_mu_`.
+  Result<TxnState*> PreparedState(TxnId txn);
 
   /// Rolls `txn` back: undo LIFO, release locks, record `a<txn>`.
   /// Requires `table_mu_` shared; takes `store_mu_` internally.
@@ -185,11 +191,12 @@ class LockingEngine : public Engine {
 
   IsolationLevel level_;
   LockingPolicy policy_;
-  /// Reader-writer latch over the transaction-table registry: operation
-  /// bodies hold it shared (each session mutates only its own entry —
-  /// "one session per thread"); `Begin` (insert) and
-  /// `InDoubtTransactions` (cross-session scan) take it exclusive.
-  /// Logical isolation is the lock manager's job, not this latch's.
+  /// Reader-writer latch over the transaction table: operation bodies,
+  /// `Begin` included, hold it shared (each session mutates only its own
+  /// entry — "one session per thread"; the registry mutex orders inserts
+  /// against lookups); only `InDoubtTransactions` (a cross-session scan of
+  /// owner-written flags) takes it exclusive.  Logical isolation is the
+  /// lock manager's job, not this latch's.
   mutable std::shared_mutex table_mu_;
   /// Latch over the physical store (reads shared, mutations exclusive);
   /// which sessions may touch which items is already decided by the item
@@ -197,7 +204,7 @@ class LockingEngine : public Engine {
   mutable std::shared_mutex store_mu_;
   SingleVersionStore store_;
   LockManager lock_manager_;
-  std::map<TxnId, TxnState> txns_;
+  TxnTable<TxnState> txns_;
 };
 
 }  // namespace critique

@@ -37,8 +37,8 @@ Status SnapshotIsolationEngine::Load(const ItemId& id, Row row) {
 }
 
 Status SnapshotIsolationEngine::Begin(TxnId txn) {
-  std::unique_lock<std::shared_mutex> tl(table_mu_);
-  return BeginAtLocked(txn, clock_.Tick(), level());
+  TableLock tl(table_mu_);
+  return BeginAtLocked(txn, std::nullopt, level());
 }
 
 Status SnapshotIsolationEngine::BeginWithLevel(TxnId txn,
@@ -58,41 +58,43 @@ Status SnapshotIsolationEngine::BeginWithLevel(TxnId txn,
              ? " without the SSI certifier (native level Serializable SI)"
              : ""));
   }
-  std::unique_lock<std::shared_mutex> tl(table_mu_);
-  return BeginAtLocked(txn, clock_.Tick(), level);
+  TableLock tl(table_mu_);
+  return BeginAtLocked(txn, std::nullopt, level);
 }
 
 Status SnapshotIsolationEngine::BeginAt(TxnId txn, Timestamp ts) {
   if (level_ == IsolationLevel::kOracleReadConsistency) {
     return Engine::BeginAt(txn, ts);  // per-statement reads: no snapshot
   }
-  std::unique_lock<std::shared_mutex> tl(table_mu_);
+  TableLock tl(table_mu_);
   return BeginAtLocked(txn, ts, level());
 }
 
-Status SnapshotIsolationEngine::BeginAtLocked(TxnId txn, Timestamp ts,
+Status SnapshotIsolationEngine::BeginAtLocked(TxnId txn,
+                                              std::optional<Timestamp> at,
                                               IsolationLevel level) {
-  if (txn < 1) return Status::InvalidArgument("txn ids start at 1");
-  if (txns_.count(txn)) {
-    return Status::InvalidArgument("txn " + std::to_string(txn) +
-                                   " already used");
-  }
-  const Timestamp floor = gc_floor_.load(std::memory_order_acquire);
-  if (ts < floor) {
-    // Accurate in both modes: the floor only rises when a GC pass prunes
-    // (periodic in kWatermark; explicit GarbageCollectVersions in either
-    // mode), so never advise switching to a mode already in force.
-    return Status::FailedPrecondition(
-        "snapshot timestamp " + std::to_string(ts) +
-        " is below the version-GC floor " + std::to_string(floor) +
-        ": history up to the floor has been pruned (for exact time travel "
-        "stay in VersionGcMode::kRetainAll and run no explicit GC passes)");
-  }
-  TxnState st;
-  st.active = true;
-  st.level = level;
-  st.start_ts = ts;
-  txns_[txn] = st;
+  // The shared table latch, held from the tick to the insert, keeps a GC
+  // pass from computing its watermark past this snapshot before it is
+  // registered; the floor only rises inside such a pass, so the check
+  // below is stable too.
+  CRITIQUE_RETURN_NOT_OK(txns_.Register(txn, [&](TxnState& st) {
+    const Timestamp ts = at.has_value() ? *at : clock_.Tick();
+    const Timestamp floor = gc_floor_.load(std::memory_order_acquire);
+    if (ts < floor) {
+      // Accurate in both modes: the floor only rises when a GC pass prunes
+      // (periodic in kWatermark; explicit GarbageCollectVersions in either
+      // mode), so never advise switching to a mode already in force.
+      return Status::FailedPrecondition(
+          "snapshot timestamp " + std::to_string(ts) +
+          " is below the version-GC floor " + std::to_string(floor) +
+          ": history up to the floor has been pruned (for exact time travel "
+          "stay in VersionGcMode::kRetainAll and run no explicit GC passes)");
+    }
+    st.active = true;
+    st.level = level;
+    st.start_ts = ts;
+    return Status::OK();
+  }));
   // Informational, buffered with the next sync: keeps the log
   // self-describing and advances the recovered id-allocator floor past
   // ids that never reach a terminal record.
@@ -101,33 +103,45 @@ Status SnapshotIsolationEngine::BeginAtLocked(TxnId txn, Timestamp ts,
   return Status::OK();
 }
 
-Status SnapshotIsolationEngine::CheckActive(TxnId txn) const {
-  auto it = txns_.find(txn);
-  if (it == txns_.end() || !it->second.active) {
+Result<SnapshotIsolationEngine::TxnState*>
+SnapshotIsolationEngine::ActiveState(TxnId txn) {
+  TxnState* st = txns_.Find(txn);
+  if (st == nullptr || !st->active) {
     return Status::TransactionAborted("txn " + std::to_string(txn) +
                                       " is not active");
   }
-  if (it->second.prepared) {
+  if (st->prepared) {
     return Status::FailedPrecondition(
         "txn " + std::to_string(txn) +
         " is prepared (in doubt); only CommitPrepared/AbortPrepared may end "
         "it");
   }
-  return Status::OK();
+  return st;
 }
 
-Status SnapshotIsolationEngine::CheckPrepared(TxnId txn) const {
-  auto it = txns_.find(txn);
-  if (it == txns_.end() || !it->second.active || !it->second.prepared) {
+Result<SnapshotIsolationEngine::TxnState*>
+SnapshotIsolationEngine::PreparedState(TxnId txn) {
+  TxnState* st = txns_.Find(txn);
+  if (st == nullptr || !st->active || !st->prepared) {
     return Status::FailedPrecondition("txn " + std::to_string(txn) +
                                       " is not prepared");
   }
-  return Status::OK();
+  return st;
+}
+
+void SnapshotIsolationEngine::EraseWriter(TxnId txn,
+                                          const std::set<ItemId>& items) {
+  for (const ItemId& id : items) {
+    auto it = writers_.find(id);
+    if (it == writers_.end()) continue;
+    it->second.erase(txn);
+    if (it->second.empty()) writers_.erase(it);
+  }
 }
 
 void SnapshotIsolationEngine::Rollback(TxnId txn,
                                        uint64_t EngineStats::*counter) {
-  TxnState& st = txns_.find(txn)->second;
+  TxnState& st = *txns_.Find(txn);
   {
     std::unique_lock<std::shared_mutex> sl(store_mu_);
     store_->AbortTxn(txn, st.write_set);
@@ -138,7 +152,9 @@ void SnapshotIsolationEngine::Rollback(TxnId txn,
     st.active = false;
     st.aborted = true;
     st.prepared = false;
-    st.write_set.clear();  // an aborted write set feeds no rw edge
+    // An aborted write set feeds no rw edge.
+    if (ssi()) EraseWriter(txn, st.write_set);
+    st.write_set.clear();
   }
   st.redo.clear();
   if (TakesWriteLocks(st)) lock_manager_.ReleaseAll(txn);
@@ -180,51 +196,58 @@ bool SnapshotIsolationEngine::Concurrent(const TxnState& a,
   return a.start_ts < b_end && b.start_ts < a_end;
 }
 
-void SnapshotIsolationEngine::AddRwEdge(TxnId reader, TxnId writer) {
-  auto r = txns_.find(reader);
-  auto w = txns_.find(writer);
-  if (r == txns_.end() || w == txns_.end()) return;
-  r->second.out_to.insert(writer);
-  w->second.in_from.insert(reader);
+void SnapshotIsolationEngine::AddRwEdge(TxnId reader, TxnState& rd,
+                                        TxnId writer, TxnState& wr) {
+  rd.out_to.insert(writer);
+  wr.in_from.insert(reader);
 }
 
-void SnapshotIsolationEngine::TrackReadConflicts(TxnId reader,
+void SnapshotIsolationEngine::TrackReadConflicts(TxnId reader, TxnState& rd,
                                                  const ItemId& id) {
   readers_[id].insert(reader);
-  TxnState& rd = txns_.find(reader)->second;
+  auto w = writers_.find(id);
+  if (w == writers_.end()) return;
   // reader -rw-> U for every concurrent U that produced a newer version.
-  for (auto& [u, ust] : txns_) {
-    if (u == reader || ust.aborted) continue;
-    if (!ust.write_set.count(id)) continue;
-    if (!Concurrent(rd, ust)) continue;
-    AddRwEdge(reader, u);
+  for (TxnId u : w->second) {
+    if (u == reader) continue;
+    TxnState* ust = txns_.Find(u);
+    if (ust == nullptr || ust->aborted || !Concurrent(rd, *ust)) continue;
+    AddRwEdge(reader, rd, u, *ust);
   }
 }
 
 void SnapshotIsolationEngine::TrackWriteConflicts(
-    TxnId writer, const ItemId& id, const std::optional<Row>& before,
-    const std::optional<Row>& after) {
-  TxnState& wr = txns_.find(writer)->second;
+    TxnId writer, TxnState& wr, const ItemId& id,
+    const std::optional<Row>& before, const std::optional<Row>& after) {
   auto it = readers_.find(id);
   if (it != readers_.end()) {
-    for (TxnId u : it->second) {
-      auto uit = txns_.find(u);
-      if (u == writer || uit == txns_.end() || uit->second.aborted) continue;
-      if (!Concurrent(wr, uit->second)) continue;
-      AddRwEdge(u, writer);  // U read the old version; writer replaces it
+    std::set<TxnId>& readers = it->second;
+    for (auto r = readers.begin(); r != readers.end();) {
+      const TxnId u = *r;
+      TxnState* ust = txns_.Find(u);
+      if (ust != nullptr && ust->aborted) {
+        // An aborted reader never feeds an edge again: drop its SIREAD
+        // entry instead of rescanning it at every later write.
+        r = readers.erase(r);
+        continue;
+      }
+      ++r;
+      if (u == writer || ust == nullptr || !Concurrent(wr, *ust)) continue;
+      AddRwEdge(u, *ust, writer, wr);  // U read the old version
     }
+    if (readers.empty()) readers_.erase(it);
   }
   // Predicate readers: the write (either image) entering the predicate's
   // coverage is the phantom-precise rw edge ordinary SIREAD item tracking
   // misses.
   for (const auto& [pred, u] : predicate_readers_) {
-    auto uit = txns_.find(u);
-    if (u == writer || uit == txns_.end() || uit->second.aborted) continue;
-    if (!Concurrent(wr, uit->second)) continue;
+    if (u == writer) continue;
+    TxnState* ust = txns_.Find(u);
+    if (ust == nullptr || ust->aborted || !Concurrent(wr, *ust)) continue;
     const bool covered =
         (before.has_value() && pred.Covers(id, *before)) ||
         (after.has_value() && pred.Covers(id, *after));
-    if (covered) AddRwEdge(u, writer);
+    if (covered) AddRwEdge(u, *ust, writer, wr);
   }
 }
 
@@ -232,8 +255,8 @@ bool SnapshotIsolationEngine::SsiPivot(const TxnState& st) const {
   // A pivot has a live (non-aborted) rw edge on both sides.
   auto live = [&](const std::set<TxnId>& peers) {
     for (TxnId u : peers) {
-      auto it = txns_.find(u);
-      if (it != txns_.end() && !it->second.aborted) return true;
+      const TxnState* peer = txns_.Find(u);
+      if (peer != nullptr && !peer->aborted) return true;
     }
     return false;
   };
@@ -248,9 +271,9 @@ bool SnapshotIsolationEngine::CompletesCommittedPivot(
   // instead.  This is the edge the old validate-once engine never
   // re-examined: it forms *after* the pivot committed.
   for (TxnId u : st.out_to) {
-    auto it = txns_.find(u);
-    if (it == txns_.end()) continue;  // retired or gone: dead edge
-    const TxnState& p = it->second;
+    const TxnState* pivot = txns_.Find(u);
+    if (pivot == nullptr) continue;  // retired or gone: dead edge
+    const TxnState& p = *pivot;
     if (!p.committed || p.aborted) continue;
     // Only a Serializable-SI pivot's contract demands the refusal: a
     // plain-SI pivot is permitted its write skew (the structure is its
@@ -259,9 +282,8 @@ bool SnapshotIsolationEngine::CompletesCommittedPivot(
     if (p.committed_first_out) return true;  // witness retired by GC
     for (TxnId w : p.out_to) {
       if (w == self) continue;
-      auto wt = txns_.find(w);
-      if (wt == txns_.end()) continue;
-      if (wt->second.committed && wt->second.commit_ts < p.commit_ts) {
+      const TxnState* wt = txns_.Find(w);
+      if (wt != nullptr && wt->committed && wt->commit_ts < p.commit_ts) {
         return true;
       }
     }
@@ -277,27 +299,25 @@ bool SnapshotIsolationEngine::CompletedPivotInDoubt(const TxnState& st) const {
   // unassigned commit timestamp.
   bool in_live = false;
   for (TxnId u : st.in_from) {
-    auto it = txns_.find(u);
-    if (it == txns_.end() || it->second.aborted) continue;
-    if (it->second.committed || it->second.prepared) {
+    const TxnState* src = txns_.Find(u);
+    if (src == nullptr || src->aborted) continue;
+    if (src->committed || src->prepared) {
       in_live = true;
       break;
     }
   }
   if (!in_live) return false;
   for (TxnId w : st.out_to) {
-    auto it = txns_.find(w);
-    if (it == txns_.end() || it->second.aborted) continue;
-    if (it->second.committed) return true;
+    const TxnState* dst = txns_.Find(w);
+    if (dst != nullptr && !dst->aborted && dst->committed) return true;
   }
   return false;
 }
 
-std::optional<std::string> SnapshotIsolationEngine::SsiRefusal(TxnId txn,
-                                                               bool decision) {
+std::optional<std::string> SnapshotIsolationEngine::SsiRefusal(
+    TxnId txn, const TxnState& st, bool decision) {
   if (!ssi()) return std::nullopt;
   std::lock_guard<std::mutex> el(ssi_mu_);
-  const TxnState& st = txns_.find(txn)->second;
   // A transaction is refused as a pivot only under its own declared
   // Serializable-SI contract — a plain-SI neighbour keeps its write skew.
   // The committed-pivot completion check below runs for *every* level,
@@ -319,8 +339,8 @@ std::optional<std::string> SnapshotIsolationEngine::SsiRefusal(TxnId txn,
 Result<std::optional<Row>> SnapshotIsolationEngine::DoRead(TxnId txn,
                                                            const ItemId& id,
                                                            Action::Type type) {
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-  TxnState& st = txns_.find(txn)->second;
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+  TxnState& st = *state;
 
   // Recorded under the store latch: a read can never precede the record
   // of the version write (or publication) it observed in the history.
@@ -347,14 +367,14 @@ Result<std::optional<Row>> SnapshotIsolationEngine::DoRead(TxnId txn,
   }
   if (ssi()) {
     std::lock_guard<std::mutex> el(ssi_mu_);
-    TrackReadConflicts(txn, id);
+    TrackReadConflicts(txn, st, id);
   }
   return row;
 }
 
 Result<std::optional<Row>> SnapshotIsolationEngine::Read(TxnId txn,
                                                          const ItemId& id) {
-  std::shared_lock<std::shared_mutex> tl(table_mu_);
+  TableLock tl(table_mu_);
   return DoRead(txn, id, Action::Type::kRead);
 }
 
@@ -371,11 +391,11 @@ Result<LockHandle> SnapshotIsolationEngine::LockItem(TableLock& tl, TxnId txn,
 Result<std::optional<Row>> SnapshotIsolationEngine::FetchCursor(
     TxnId txn, const ItemId& id) {
   TableLock tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, ActiveState(txn));
   // Snapshot reads never block; a cursor adds nothing under SI.  ORC's
   // fetch is SELECT ... FOR UPDATE: the Write lock at fetch is what rules
   // out P4C.
-  if (TakesWriteLocks(txns_.find(txn)->second)) {
+  if (TakesWriteLocks(*st)) {
     CRITIQUE_RETURN_NOT_OK(LockItem(tl, txn, id).status());
   }
   return DoRead(txn, id, Action::Type::kCursorRead);
@@ -384,9 +404,9 @@ Result<std::optional<Row>> SnapshotIsolationEngine::FetchCursor(
 Result<std::vector<std::pair<ItemId, Row>>>
 SnapshotIsolationEngine::ReadPredicate(TxnId txn, const std::string& name,
                                        const Predicate& pred) {
-  std::shared_lock<std::shared_mutex> tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-  TxnState& st = txns_.find(txn)->second;
+  TableLock tl(table_mu_);
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+  TxnState& st = *state;
 
   std::vector<std::pair<ItemId, Row>> rows;
   {
@@ -404,7 +424,7 @@ SnapshotIsolationEngine::ReadPredicate(TxnId txn, const std::string& name,
     std::lock_guard<std::mutex> el(ssi_mu_);
     for (const auto& [id, row] : rows) {
       (void)row;
-      TrackReadConflicts(txn, id);
+      TrackReadConflicts(txn, st, id);
     }
     // Phantom-precise SIREAD: remember the predicate itself, plus rw
     // edges to concurrent transactions whose pending/later writes
@@ -412,13 +432,15 @@ SnapshotIsolationEngine::ReadPredicate(TxnId txn, const std::string& name,
     // scan (lock order ssi_mu_ < store_mu_).
     predicate_readers_.emplace_back(pred, txn);
     std::shared_lock<std::shared_mutex> sl(store_mu_);
-    for (auto& [u, ust] : txns_) {
-      if (u == txn || ust.aborted || !Concurrent(st, ust)) continue;
-      for (const ItemId& wid : ust.write_set) {
+    for (const auto& [wid, us] : writers_) {
+      for (TxnId u : us) {
+        if (u == txn) continue;
+        TxnState* ust = txns_.Find(u);
+        if (ust == nullptr || ust->aborted || !Concurrent(st, *ust)) continue;
         std::optional<Version> vi =
             store_->ReadVersionInfo(wid, ~Timestamp{0}, u);
         if (vi.has_value() && !vi->tombstone && pred.Covers(wid, vi->row)) {
-          AddRwEdge(txn, u);
+          AddRwEdge(txn, st, u, *ust);
         }
       }
     }
@@ -426,9 +448,10 @@ SnapshotIsolationEngine::ReadPredicate(TxnId txn, const std::string& name,
   return rows;
 }
 
-Status SnapshotIsolationEngine::CheckWritable(TxnId txn, const ItemId& id,
+Status SnapshotIsolationEngine::CheckWritable(TxnId txn, const TxnState& st,
+                                              const ItemId& id,
                                               bool is_insert) const {
-  const Timestamp read_ts = ReadTs(txns_.find(txn)->second);
+  const Timestamp read_ts = ReadTs(st);
   bool present;
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
@@ -449,15 +472,15 @@ Status SnapshotIsolationEngine::DoWrite(TableLock& tl, TxnId txn,
                                         std::optional<Row> new_row,
                                         Action::Type type, bool is_insert,
                                         bool locked) {
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-  TxnState& st = txns_.find(txn)->second;
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+  TxnState& st = *state;
   if (TakesWriteLocks(st) && !locked) {
     CRITIQUE_ASSIGN_OR_RETURN(LockHandle h, LockItem(tl, txn, id));
     // A blocking wait released the table latch, so an Insert/Delete
     // precondition checked before it may have been decided by a
     // concurrent committer; the granted lock makes the re-check stable.
     if (is_insert || !new_row.has_value()) {
-      Status s = CheckWritable(txn, id, is_insert);
+      Status s = CheckWritable(txn, st, id, is_insert);
       if (!s.ok()) {
         lock_manager_.Release(h);
         return s;
@@ -503,7 +526,10 @@ Status SnapshotIsolationEngine::DoWrite(TableLock& tl, TxnId txn,
   {
     auto el = SsiLock();
     st.write_set.insert(id);
-    if (ssi()) TrackWriteConflicts(txn, id, before, new_row);
+    if (ssi()) {
+      writers_[id].insert(txn);
+      TrackWriteConflicts(txn, st, id, before, new_row);
+    }
   }
   if (wal_ != nullptr) st.redo[id] = std::move(new_row);
   return Status::OK();
@@ -517,16 +543,16 @@ Status SnapshotIsolationEngine::Write(TxnId txn, const ItemId& id, Row row) {
 
 Status SnapshotIsolationEngine::Insert(TxnId txn, const ItemId& id, Row row) {
   TableLock tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-  CRITIQUE_RETURN_NOT_OK(CheckWritable(txn, id, /*is_insert=*/true));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, ActiveState(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckWritable(txn, *st, id, /*is_insert=*/true));
   return DoWrite(tl, txn, id, std::move(row), Action::Type::kWrite,
                  /*is_insert=*/true);
 }
 
 Status SnapshotIsolationEngine::Delete(TxnId txn, const ItemId& id) {
   TableLock tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-  CRITIQUE_RETURN_NOT_OK(CheckWritable(txn, id, /*is_insert=*/false));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, ActiveState(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckWritable(txn, *st, id, /*is_insert=*/false));
   return DoWrite(tl, txn, id, std::nullopt, Action::Type::kWrite,
                  /*is_insert=*/false);
 }
@@ -535,12 +561,12 @@ Status SnapshotIsolationEngine::Update(
     TxnId txn, const ItemId& id,
     const std::function<Row(const std::optional<Row>&)>& transform) {
   TableLock tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, ActiveState(txn));
   // ORC's statement-level write consistency: lock first, then apply the
   // transform to the most recent committed value ("the underlying
   // mechanism recomputes the appropriate version of the row as of the
   // statement timestamp").
-  const bool locks = TakesWriteLocks(txns_.find(txn)->second);
+  const bool locks = TakesWriteLocks(*st);
   if (locks) CRITIQUE_RETURN_NOT_OK(LockItem(tl, txn, id).status());
   CRITIQUE_ASSIGN_OR_RETURN(std::optional<Row> current,
                             DoRead(txn, id, Action::Type::kRead));
@@ -551,9 +577,9 @@ Status SnapshotIsolationEngine::Update(
 Result<size_t> SnapshotIsolationEngine::UpdateWhere(
     TxnId txn, const std::string& name, const Predicate& pred,
     const std::function<Row(const Row&)>& transform) {
-  std::shared_lock<std::shared_mutex> tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-  TxnState& st = txns_.find(txn)->second;
+  TableLock tl(table_mu_);
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+  TxnState& st = *state;
   if (TakesWriteLocks(st)) {
     // Item by item, so every row is written under its Write lock.
     tl.unlock();
@@ -582,7 +608,8 @@ Result<size_t> SnapshotIsolationEngine::UpdateWhere(
     for (size_t i = 0; i < rows.size(); ++i) {
       st.write_set.insert(rows[i].first);
       if (ssi()) {
-        TrackWriteConflicts(txn, rows[i].first, rows[i].second, nexts[i]);
+        writers_[rows[i].first].insert(txn);
+        TrackWriteConflicts(txn, st, rows[i].first, rows[i].second, nexts[i]);
       }
     }
   }
@@ -595,9 +622,9 @@ Result<size_t> SnapshotIsolationEngine::UpdateWhere(
 Result<size_t> SnapshotIsolationEngine::DeleteWhere(TxnId txn,
                                                     const std::string& name,
                                                     const Predicate& pred) {
-  std::shared_lock<std::shared_mutex> tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-  TxnState& st = txns_.find(txn)->second;
+  TableLock tl(table_mu_);
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+  TxnState& st = *state;
   if (TakesWriteLocks(st)) {
     tl.unlock();
     return Engine::DeleteWhere(txn, name, pred);
@@ -621,7 +648,10 @@ Result<size_t> SnapshotIsolationEngine::DeleteWhere(TxnId txn,
     auto el = SsiLock();
     for (const auto& [id, row] : rows) {
       st.write_set.insert(id);
-      if (ssi()) TrackWriteConflicts(txn, id, row, std::nullopt);
+      if (ssi()) {
+        writers_[id].insert(txn);
+        TrackWriteConflicts(txn, st, id, row, std::nullopt);
+      }
     }
   }
   if (wal_ != nullptr) {
@@ -641,12 +671,12 @@ Status SnapshotIsolationEngine::WriteCursor(TxnId txn, const ItemId& id,
 }
 
 Status SnapshotIsolationEngine::CloseCursor(TxnId txn) {
-  std::shared_lock<std::shared_mutex> tl(table_mu_);
-  return CheckActive(txn);
+  TableLock tl(table_mu_);
+  return ActiveState(txn).status();
 }
 
-void SnapshotIsolationEngine::ReleaseReservations(TxnId txn) {
-  const TxnState& st = txns_.find(txn)->second;
+void SnapshotIsolationEngine::ReleaseReservations(TxnId txn,
+                                                  const TxnState& st) {
   for (const ItemId& id : st.write_set) {
     auto it = reservations_.find(id);
     if (it != reservations_.end() && it->second == txn) {
@@ -655,8 +685,7 @@ void SnapshotIsolationEngine::ReleaseReservations(TxnId txn) {
   }
 }
 
-Status SnapshotIsolationEngine::ValidateAndReserve(TxnId txn) {
-  TxnState& st = txns_.find(txn)->second;
+Status SnapshotIsolationEngine::ValidateAndReserve(TxnId txn, TxnState& st) {
   // The commit-sequence slot: stage-1 entries are serialized by
   // commit_mu_, so this counter orders every validation.
   ++pipeline_stats_.slots_issued;
@@ -711,7 +740,7 @@ Status SnapshotIsolationEngine::ValidateAndReserve(TxnId txn) {
     }
   }
 
-  if (auto refusal = SsiRefusal(txn, /*decision=*/false)) {
+  if (auto refusal = SsiRefusal(txn, st, /*decision=*/false)) {
     return AbortInternal(txn, Status::SerializationFailure(*refusal),
                          &EngineStats::serialization_aborts,
                          obs::AbortReason::kSsiDangerousStructure);
@@ -722,16 +751,15 @@ Status SnapshotIsolationEngine::ValidateAndReserve(TxnId txn) {
 }
 
 Status SnapshotIsolationEngine::RevalidateAndPublish(
-    TxnId txn, bool decision, std::optional<uint64_t>* wal_lsn) {
-  TxnState& st = txns_.find(txn)->second;
+    TxnId txn, TxnState& st, bool decision, std::optional<uint64_t>* wal_lsn) {
 
   // Re-validation: rw-antidependencies that formed after stage 1 — during
   // the commit window, or the whole in-doubt window for a prepared
   // participant — are examined here against the current edge state.
   // First-Committer-Wins needs no re-run: the write-set reservation taken
   // at stage 1 kept every overlapping committer out.
-  if (auto refusal = SsiRefusal(txn, decision)) {
-    ReleaseReservations(txn);
+  if (auto refusal = SsiRefusal(txn, st, decision)) {
+    ReleaseReservations(txn, st);
     if (decision) {
       ++pipeline_stats_.decision_aborts;
     } else {
@@ -772,7 +800,7 @@ Status SnapshotIsolationEngine::RevalidateAndPublish(
     st.prepared = false;
   }
   st.redo.clear();
-  ReleaseReservations(txn);
+  ReleaseReservations(txn, st);
   if (!ssi()) st.write_set.clear();  // only SSI edges read it after commit
   Trace(txn, obs::TraceEventType::kCommit);
   return Status::OK();
@@ -783,11 +811,11 @@ Status SnapshotIsolationEngine::Commit(TxnId txn) {
   bool locks = false;
   {
     obs::ScopedTimer t(stage1_hist_);
-    std::shared_lock<std::shared_mutex> tl(table_mu_);
-    CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-    locks = TakesWriteLocks(txns_.find(txn)->second);
+    TableLock tl(table_mu_);
+    CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, ActiveState(txn));
+    locks = TakesWriteLocks(*st);
     std::lock_guard<std::mutex> cl(commit_mu_);
-    CRITIQUE_RETURN_NOT_OK(ValidateAndReserve(txn));
+    CRITIQUE_RETURN_NOT_OK(ValidateAndReserve(txn, *st));
   }
 
   // The commit window: no engine latch held.  Other sessions run freely;
@@ -801,10 +829,12 @@ Status SnapshotIsolationEngine::Commit(TxnId txn) {
   std::optional<uint64_t> wal_lsn;
   {
     obs::ScopedTimer t(stage2_hist_);
-    std::shared_lock<std::shared_mutex> tl(table_mu_);
+    TableLock tl(table_mu_);
+    // Still active (reserved, unpublished), so no GC pass retired it.
+    TxnState& st = *txns_.Find(txn);
     std::lock_guard<std::mutex> cl(commit_mu_);
     CRITIQUE_RETURN_NOT_OK(
-        RevalidateAndPublish(txn, /*decision=*/false, &wal_lsn));
+        RevalidateAndPublish(txn, st, /*decision=*/false, &wal_lsn));
     gc_due = GcTick();
   }
   // ORC's Write locks outlive publication, so a waiter granted one reads
@@ -833,11 +863,11 @@ Status SnapshotIsolationEngine::Prepare(TxnId txn) {
   std::optional<uint64_t> wal_lsn;
   {
     obs::ScopedTimer t(stage1_hist_);
-    std::shared_lock<std::shared_mutex> tl(table_mu_);
-    CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+    TableLock tl(table_mu_);
+    CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+    TxnState& st = *state;
     std::lock_guard<std::mutex> cl(commit_mu_);
-    CRITIQUE_RETURN_NOT_OK(ValidateAndReserve(txn));
-    TxnState& st = txns_.find(txn)->second;
+    CRITIQUE_RETURN_NOT_OK(ValidateAndReserve(txn, st));
     {
       auto el = SsiLock();
       st.prepared = true;
@@ -867,16 +897,16 @@ Status SnapshotIsolationEngine::CommitPrepared(TxnId txn) {
   std::optional<uint64_t> wal_lsn;
   {
     obs::ScopedTimer t(stage2_hist_);
-    std::shared_lock<std::shared_mutex> tl(table_mu_);
-    CRITIQUE_RETURN_NOT_OK(CheckPrepared(txn));
-    locks = TakesWriteLocks(txns_.find(txn)->second);
+    TableLock tl(table_mu_);
+    CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, PreparedState(txn));
+    locks = TakesWriteLocks(*st);
     std::lock_guard<std::mutex> cl(commit_mu_);
     // Stage 2 at the decision phase: a dangerous structure that completed
     // while in doubt aborts the participant here (kSerializationFailure;
     // already rolled back) instead of publishing a non-serializable
     // commit.
     CRITIQUE_RETURN_NOT_OK(
-        RevalidateAndPublish(txn, /*decision=*/true, &wal_lsn));
+        RevalidateAndPublish(txn, *st, /*decision=*/true, &wal_lsn));
     gc_due = GcTick();
   }
   if (locks) lock_manager_.ReleaseAll(txn);  // see Commit
@@ -886,32 +916,34 @@ Status SnapshotIsolationEngine::CommitPrepared(TxnId txn) {
 }
 
 Status SnapshotIsolationEngine::AbortPrepared(TxnId txn) {
-  std::shared_lock<std::shared_mutex> tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckPrepared(txn));
+  TableLock tl(table_mu_);
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, PreparedState(txn));
   {
     std::lock_guard<std::mutex> cl(commit_mu_);
     // Buffered only, never synced: presumed abort means a lost abort
     // record just re-restores the participant in doubt, and the next
     // recovery aborts it again.
     if (wal_ != nullptr) wal_->Append(WalRecord::Abort(txn));
-    ReleaseReservations(txn);
+    ReleaseReservations(txn, *st);
   }
   return AbortInternal(txn, Status::OK(), &EngineStats::aborts,
                        obs::AbortReason::kInDoubtDecision);
 }
 
 std::vector<TxnId> SnapshotIsolationEngine::InDoubtTransactions() const {
+  // Exclusive: a cross-session read of flags each owner writes under the
+  // shared latch.
   std::unique_lock<std::shared_mutex> tl(table_mu_);
   std::vector<TxnId> out;
-  for (const auto& [t, st] : txns_) {
+  txns_.ForEach([&](TxnId t, const TxnState& st) {
     if (st.active && st.prepared) out.push_back(t);
-  }
+  });
   return out;
 }
 
 Status SnapshotIsolationEngine::Abort(TxnId txn) {
-  std::shared_lock<std::shared_mutex> tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  TableLock tl(table_mu_);
+  CRITIQUE_RETURN_NOT_OK(ActiveState(txn).status());
   return AbortInternal(txn, Status::OK(), &EngineStats::aborts,
                        obs::AbortReason::kExplicit);
 }
@@ -919,6 +951,8 @@ Status SnapshotIsolationEngine::Abort(TxnId txn) {
 size_t SnapshotIsolationEngine::RunGcPass() {
   size_t dropped = 0;
   {
+    // Exclusive: no Begin is between its tick and its insert, so every
+    // snapshot handed out is either registered or not yet drawn.
     std::unique_lock<std::shared_mutex> tl(table_mu_);
     // Low-watermark: the oldest begin timestamp still open (prepared
     // in-doubt participants and mid-pipeline committers are active and
@@ -928,10 +962,9 @@ size_t SnapshotIsolationEngine::RunGcPass() {
     // statement reads "now") and no SSI state, so its watermark is "now".
     Timestamp watermark = clock_.Now();
     if (level_ != IsolationLevel::kOracleReadConsistency) {
-      for (const auto& [t, st] : txns_) {
-        (void)t;
+      txns_.ForEach([&](TxnId, const TxnState& st) {
         if (st.active && st.start_ts < watermark) watermark = st.start_ts;
-      }
+      });
     }
     {
       std::unique_lock<std::shared_mutex> sl(store_mu_);
@@ -957,21 +990,19 @@ size_t SnapshotIsolationEngine::RunGcPass() {
       // SSI structures are safe to edit here without `ssi_mu_`.
       std::set<TxnId> retired;
       std::map<TxnId, Timestamp> retired_commit_ts;
-      for (auto it = txns_.begin(); it != txns_.end();) {
-        const TxnState& st = it->second;
+      txns_.EraseIf([&](TxnId t, const TxnState& st) {
         const bool dead =
             st.aborted || (st.committed && st.commit_ts <= watermark);
-        if (!st.active && dead) {
-          retired.insert(it->first);
-          if (st.committed) retired_commit_ts[it->first] = st.commit_ts;
-          it = txns_.erase(it);
-        } else {
-          ++it;
-        }
-      }
+        if (st.active || !dead) return false;
+        retired.insert(t);
+        if (st.committed) retired_commit_ts[t] = st.commit_ts;
+        // A committed SSI write set leaves the writer index with its
+        // state (an aborted one already left at rollback).
+        if (ssi()) EraseWriter(t, st.write_set);
+        return true;
+      });
       if (!retired.empty()) {
-        for (auto& [t, st] : txns_) {
-          (void)t;
+        txns_.ForEach([&](TxnId, TxnState& st) {
           // Summarize before forgetting: a retired committed rw-successor
           // that committed before its (surviving, committed) predecessor
           // is a dangerous structure's "T3 commits first" witness — keep
@@ -990,7 +1021,7 @@ size_t SnapshotIsolationEngine::RunGcPass() {
             st.in_from.erase(r);
             st.out_to.erase(r);
           }
-        }
+        });
         // Drop the retirees' SIREAD bookkeeping so SSI memory is bounded
         // alongside the version chains.
         for (auto it = readers_.begin(); it != readers_.end();) {

@@ -14,6 +14,7 @@
 
 #include "critique/common/clock.h"
 #include "critique/engine/engine.h"
+#include "critique/engine/txn_table.h"
 #include "critique/lock/lock_manager.h"
 #include "critique/storage/version_store.h"
 
@@ -70,18 +71,31 @@ struct CommitPipelineStats {
 /// Latching (thread-safe per the `Engine` contract, without an engine-wide
 /// latch): disjoint sessions no longer queue behind one mutex.
 ///
-///  * `table_mu_` (reader-writer) — the transaction-table registry.  Every
-///    session operation holds it *shared*; only `Begin`/`BeginAt` (insert),
-///    a version-GC pass (retire), and `InDoubtTransactions` take it
-///    exclusive.  A transaction's own state is mutated only by its driving
-///    thread ("one session per thread"), so shared table access suffices
-///    for everything per-transaction.
+///  * `table_mu_` (reader-writer) — the transaction table.  Every session
+///    operation holds it *shared*, `Begin`/`BeginWithLevel`/`BeginAt`
+///    included, so a begin never drains the operations in flight.  Only a
+///    version-GC pass (which retires states) and `InDoubtTransactions` (a
+///    cross-session scan of owner-written flags) take it exclusive.  A GC
+///    pass therefore never computes its watermark past a snapshot that has
+///    ticked but is not yet registered.  A transaction's own state is
+///    mutated only by its driving thread ("one session per thread"), so
+///    shared table access suffices for everything per-transaction.
+///  * the registry mutex inside `txns_` (`TxnTable`) — the map's structure
+///    only: every insert, lookup and whole-table scan.  `Begin` draws its
+///    start timestamp and checks the GC floor under it.  It is the
+///    innermost latch: taken under any of the others, never held while
+///    acquiring one.  A `TxnState&` outlives it (map nodes are stable;
+///    only a GC pass, table-exclusive, erases them).
 ///  * `commit_mu_` — the commit pipeline (below): validation, write-set
 ///    reservations, publication, and the commit-sequence counter.
-///  * `ssi_mu_` — SSI bookkeeping: SIREAD tables, rw-edge sets, and (in SSI
+///  * `ssi_mu_` — SSI bookkeeping: the SIREAD tables (`readers_`,
+///    `predicate_readers_`), the writer index `writers_` (item to the
+///    transactions whose live write set holds it: filled by every write,
+///    emptied at rollback and at GC retirement), rw-edge sets, and (in SSI
 ///    mode) cross-transaction state reads, so edge tracking and pivot
-///    validation see consistent neighbour states.  Never held across a
-///    store scan that doesn't need it; not touched at plain SI.
+///    validation see consistent neighbour states.  A read visits only the
+///    item's writers, never the whole table.  Never held across a store
+///    scan that doesn't need it; not touched at plain SI.
 ///  * `store_mu_` (reader-writer) — the physical version store.  Reads and
 ///    scans share; writes, publication, and GC are exclusive.  A commit
 ///    timestamp is drawn *inside* the publication's exclusive section, so
@@ -92,8 +106,9 @@ struct CommitPipelineStats {
 ///    lock wait in blocking mode parks with `table_mu_` dropped, as in the
 ///    locking engine, and no other engine latch is held across it.
 ///
-/// Lock order: table_mu_ < commit_mu_ < ssi_mu_ < store_mu_ (never
-/// acquired against this order; non-nested sequential sections are free).
+/// Lock order: table_mu_ < commit_mu_ < ssi_mu_ < store_mu_ < the registry
+/// mutex (never acquired against this order; non-nested sequential
+/// sections are free).
 ///
 /// Commit pipeline (the SSI commit-window fix; Cahill et al. 2008, and
 /// Ports & Grittner 2012 for the prepared flavor): ending a transaction is
@@ -336,8 +351,11 @@ class SnapshotIsolationEngine : public Engine {
 
   // --- helpers; each names the latches it requires ---------------------------
 
-  /// Requires `table_mu_` exclusive.
-  Status BeginAtLocked(TxnId txn, Timestamp ts, IsolationLevel level);
+  /// Registers `txn` at snapshot `ts`, or at a fresh tick when `ts` is
+  /// nullopt.  Requires `table_mu_` shared (held from the tick to the
+  /// insert); the tick and the floor check run under the registry mutex.
+  Status BeginAtLocked(TxnId txn, std::optional<Timestamp> ts,
+                       IsolationLevel level);
 
   /// True for the levels whose statements each read the latest committed
   /// state and that skip First-Committer-Wins: Read Committed and ORC.
@@ -361,9 +379,14 @@ class SnapshotIsolationEngine : public Engine {
     return st.level == IsolationLevel::kOracleReadConsistency;
   }
 
-  /// Require `table_mu_` shared (the entry is read by its own session).
-  Status CheckActive(TxnId txn) const;
-  Status CheckPrepared(TxnId txn) const;
+  using TableLock = std::shared_lock<std::shared_mutex>;
+
+  /// The state of `txn` if it is active and not prepared, else the
+  /// refusal (kTransactionAborted, or kFailedPrecondition when in doubt).
+  /// `PreparedState` is the in-doubt counterpart.  Require `table_mu_`
+  /// shared (the entry is read by its own session).
+  Result<TxnState*> ActiveState(TxnId txn);
+  Result<TxnState*> PreparedState(TxnId txn);
 
   /// Rolls `txn` back: discards its pending versions, records `a<t>`
   /// (charging `counter` when non-null), marks the state aborted and
@@ -384,7 +407,7 @@ class SnapshotIsolationEngine : public Engine {
   /// issues a commit slot.  Requires `table_mu_` shared + `commit_mu_`;
   /// takes `ssi_mu_`/`store_mu_` internally.  On failure the transaction
   /// is aborted and the refusal returned.
-  Status ValidateAndReserve(TxnId txn);
+  Status ValidateAndReserve(TxnId txn, TxnState& st);
 
   /// Commit-pipeline stage 2 for `txn` (already validated): re-runs the
   /// SSI checks, then publishes versions at a fresh commit timestamp and
@@ -395,17 +418,15 @@ class SnapshotIsolationEngine : public Engine {
   /// commit records and stores the commit LSN in `*wal_lsn` (untouched
   /// when nothing was logged); the caller waits on it *after* releasing
   /// every latch.
-  Status RevalidateAndPublish(TxnId txn, bool decision,
+  Status RevalidateAndPublish(TxnId txn, TxnState& st, bool decision,
                               std::optional<uint64_t>* wal_lsn);
 
   /// Drops `txn`'s write-set reservations.  Requires `commit_mu_`.
-  void ReleaseReservations(TxnId txn);
+  void ReleaseReservations(TxnId txn, const TxnState& st);
 
   /// Counts a published commit toward the GC epoch; true when a periodic
   /// pass is due (kWatermark mode).  Requires `commit_mu_`.
   bool GcTick();
-
-  using TableLock = std::shared_lock<std::shared_mutex>;
 
   /// ORC's long item Write lock on `id` for `txn`.  May drop and re-take
   /// `tl` around a blocking wait; a deadlock victim is rolled back.
@@ -414,7 +435,8 @@ class SnapshotIsolationEngine : public Engine {
   /// The Insert (item absent) or Delete (item present) precondition,
   /// against what `txn` reads now.  Requires `table_mu_` shared; takes
   /// `store_mu_` shared.
-  Status CheckWritable(TxnId txn, const ItemId& id, bool is_insert) const;
+  Status CheckWritable(TxnId txn, const TxnState& st, const ItemId& id,
+                       bool is_insert) const;
 
   Result<std::optional<Row>> DoRead(TxnId txn, const ItemId& id,
                                     Action::Type type);
@@ -430,11 +452,18 @@ class SnapshotIsolationEngine : public Engine {
   bool Concurrent(const TxnState& a, const TxnState& b) const;
 
   // SSI edge tracking; all require `table_mu_` shared + `ssi_mu_`.
-  void AddRwEdge(TxnId reader, TxnId writer);
-  void TrackReadConflicts(TxnId reader, const ItemId& id);
-  void TrackWriteConflicts(TxnId writer, const ItemId& id,
+  void AddRwEdge(TxnId reader, TxnState& rd, TxnId writer, TxnState& wr);
+  /// reader -rw-> U for every concurrent U in `writers_[id]`.
+  void TrackReadConflicts(TxnId reader, TxnState& rd, const ItemId& id);
+  /// U -rw-> writer for every concurrent SIREAD reader U of `id` (aborted
+  /// readers met on the way are dropped) and every predicate reader whose
+  /// predicate covers either image.
+  void TrackWriteConflicts(TxnId writer, TxnState& wr, const ItemId& id,
                            const std::optional<Row>& before,
                            const std::optional<Row>& after);
+  /// Removes `txn` from the writer index at `items`.  Requires `ssi_mu_`
+  /// or `table_mu_` exclusive.
+  void EraseWriter(TxnId txn, const std::set<ItemId>& items);
 
   /// Conservative pivot test: a live (non-aborted) rw edge on both sides.
   /// Requires `ssi_mu_`.
@@ -467,7 +496,8 @@ class SnapshotIsolationEngine : public Engine {
   /// The SSI refusals shared by stage 1 and the stage-2 re-validation.
   /// Returns the refusal message, or nullopt to admit.  Requires
   /// `table_mu_` shared; takes `ssi_mu_` internally.  No-op at plain SI.
-  std::optional<std::string> SsiRefusal(TxnId txn, bool decision);
+  std::optional<std::string> SsiRefusal(TxnId txn, const TxnState& st,
+                                        bool decision);
 
   /// One GC pass: compute the watermark, prune chains, raise the floor,
   /// and (kWatermark mode) retire finished transaction states plus their
@@ -478,8 +508,8 @@ class SnapshotIsolationEngine : public Engine {
   const IsolationLevel level_;
   SnapshotIsolationOptions options_;
 
-  /// Reader-writer latch over the transaction-table registry (see class
-  /// comment for the full latching map).
+  /// Reader-writer latch over the transaction table (see class comment for
+  /// the full latching map).
   mutable std::shared_mutex table_mu_;
   /// Commit pipeline: validation order, reservations, publication.
   mutable std::mutex commit_mu_;
@@ -491,10 +521,14 @@ class SnapshotIsolationEngine : public Engine {
 
   LogicalClock clock_;
   std::unique_ptr<VersionStore> store_;     ///< store_mu_
-  std::map<TxnId, TxnState> txns_;          ///< table_mu_ (+ ssi_mu_ rules)
+  TxnTable<TxnState> txns_;  ///< own registry mutex (+ ssi_mu_ rules)
   // SSI SIREAD bookkeeping: item readers and predicate readers (ssi_mu_).
   std::map<ItemId, std::set<TxnId>> readers_;
   std::vector<std::pair<Predicate, TxnId>> predicate_readers_;
+  // SSI writer index: item -> transactions whose live write set holds it
+  // (ssi_mu_; empty at plain SI and ORC).  Mirrors the write sets
+  // exactly, so a read probes only the item's writers for rw edges.
+  std::map<ItemId, std::set<TxnId>> writers_;
   // Write-set reservations of transactions between pipeline stage 1 and
   // publication — in-flight committers and prepared (in-doubt)
   // participants (commit_mu_).

@@ -514,6 +514,82 @@ TEST(ConcurrencyTest, CommittedSerializableHistoriesStaySerializable) {
   }
 }
 
+TEST(ConcurrencyTest, BeginRacesWatermarkGc) {
+  // Begin registers under the *shared* table latch, so it runs alongside
+  // every other session operation; only a GC pass takes the latch
+  // exclusive.  With a pass after every commit, passes interleave with
+  // begins all the time.  A pass that computed its watermark past a
+  // snapshot drawn but not yet registered would prune versions that
+  // snapshot still reads, then refuse the begin below the raised floor or
+  // hand its reads an empty chain.  Transfers also keep the total
+  // balance fixed, so a lost or torn write shows in the sum.
+  for (IsolationLevel level : {IsolationLevel::kSnapshotIsolation,
+                               IsolationLevel::kSerializableSI}) {
+    DbOptions opts = BlockingOptions(level, /*seed=*/23);
+    opts.version_gc = VersionGcMode::kWatermark;
+    opts.version_gc_interval = 1;
+    Database db(opts);
+    const uint64_t kItems = 64;
+    WorkloadOptions wopts;
+    wopts.num_items = kItems;
+    WorkloadGenerator gen(wopts);
+    ASSERT_TRUE(gen.LoadInitial(db).ok());
+    const int64_t initial = WorkloadGenerator::TotalBalance(db, kItems);
+
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 500;
+    std::atomic<uint64_t> committed{0};
+    std::atomic<uint64_t> refused_begins{0};
+    std::atomic<uint64_t> empty_reads{0};
+    std::vector<Rng> rngs;
+    for (int t = 0; t < kThreads; ++t) rngs.push_back(db.ForkRng());
+    {
+      std::vector<std::thread> workers;
+      for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+          Rng& rng = rngs[static_cast<size_t>(t)];
+          for (int i = 0; i < kPerThread; ++i) {
+            Result<Transaction> begun = db.Begin(BeginOptions{});
+            if (!begun.ok()) {
+              refused_begins.fetch_add(1);
+              continue;
+            }
+            Transaction txn = std::move(*begun);
+            const ItemId src = WorkloadGenerator::ItemName(rng.Uniform(kItems));
+            ItemId dst = src;
+            while (dst == src) {
+              dst = WorkloadGenerator::ItemName(rng.Uniform(kItems));
+            }
+            auto a = txn.Get(src);
+            auto b = txn.Get(dst);
+            if (!a.ok() || !b.ok()) continue;  // rolled back on scope exit
+            if (!a->has_value() || !b->has_value()) {
+              empty_reads.fetch_add(1);
+              continue;
+            }
+            const int64_t av = static_cast<int64_t>(
+                (*a)->scalar().AsNumeric().value_or(0));
+            const int64_t bv = static_cast<int64_t>(
+                (*b)->scalar().AsNumeric().value_or(0));
+            if (!txn.Put(src, Value(av - 5)).ok()) continue;
+            if (!txn.Put(dst, Value(bv + 5)).ok()) continue;
+            if (txn.Commit().ok()) committed.fetch_add(1);
+          }
+        });
+      }
+      for (auto& w : workers) w.join();
+    }
+
+    EXPECT_EQ(refused_begins.load(), 0u) << db.name();
+    EXPECT_EQ(empty_reads.load(), 0u) << db.name();
+    EXPECT_GT(committed.load(), 0u) << db.name();
+    EXPECT_EQ(WorkloadGenerator::TotalBalance(db, kItems), initial)
+        << db.name();
+    EXPECT_GT(db.engine().version_gc_stats().runs, 0u) << db.name();
+    EXPECT_EQ(db.open_transactions(), 0) << db.name();
+  }
+}
+
 TEST(ConcurrencyTest, InsertPreconditionRecheckedAfterBlockingWait) {
   // A duplicate Insert whose precondition passed before parking on the
   // first inserter's X lock must still fail once the first insert
