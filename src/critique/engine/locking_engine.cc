@@ -63,30 +63,6 @@ std::string LockingEngine::DebugDump() const {
   return lock_manager_.DebugSnapshot().ToString();
 }
 
-Result<LockingEngine::TxnState*> LockingEngine::ActiveState(TxnId txn) {
-  TxnState* st = txns_.Find(txn);
-  if (st == nullptr || !st->active) {
-    return Status::TransactionAborted("txn " + std::to_string(txn) +
-                                      " is not active");
-  }
-  if (st->prepared) {
-    return Status::FailedPrecondition(
-        "txn " + std::to_string(txn) +
-        " is prepared (in doubt); only CommitPrepared/AbortPrepared may end "
-        "it");
-  }
-  return st;
-}
-
-Result<LockingEngine::TxnState*> LockingEngine::PreparedState(TxnId txn) {
-  TxnState* st = txns_.Find(txn);
-  if (st == nullptr || !st->active || !st->prepared) {
-    return Status::FailedPrecondition("txn " + std::to_string(txn) +
-                                      " is not prepared");
-  }
-  return st;
-}
-
 std::optional<Row> LockingEngine::StoreGet(const ItemId& id) const {
   std::shared_lock<std::shared_mutex> sl(store_mu_);
   return store_.Get(id);
@@ -142,7 +118,7 @@ Result<std::optional<Row>> LockingEngine::DoRead(TableLock& lk, TxnId txn,
                                                  const ItemId& id,
                                                  Action::Type type,
                                                  const std::string& cursor) {
-  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, ActiveState(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, txns_.Active(txn));
   // Copied: the policy is read again after a blocking Acquire has dropped
   // the table latch.  The state itself stays put (nodes are stable and
   // this engine never erases one).
@@ -202,7 +178,7 @@ Result<std::optional<Row>> LockingEngine::FetchCursorNamed(
 Result<std::vector<std::pair<ItemId, Row>>> LockingEngine::ReadPredicate(
     TxnId txn, const std::string& name, const Predicate& pred) {
   TableLock lk(table_mu_);
-  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, ActiveState(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, txns_.Active(txn));
   const LockingPolicy pol = st->policy;
 
   LockHandle handle = 0;
@@ -234,7 +210,7 @@ Result<std::vector<std::pair<ItemId, Row>>> LockingEngine::ReadPredicate(
 Status LockingEngine::DoWrite(TableLock& lk, TxnId txn, const ItemId& id,
                               std::optional<Row> new_row, Action::Type type,
                               bool is_insert) {
-  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, txns_.Active(txn));
 
   std::optional<Row> before = StoreGet(id);
   LockSpec spec = LockSpec::WriteItem(txn, id, before, new_row);
@@ -311,7 +287,7 @@ Status LockingEngine::Delete(TxnId txn, const ItemId& id) {
 Result<size_t> LockingEngine::DoPredicateWrite(
     TableLock& lk, TxnId txn, const std::string& name, const Predicate& pred,
     const std::function<std::optional<Row>(const Row&)>& transform) {
-  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, txns_.Active(txn));
 
   // "Write locks on data items and predicates (always the same)": the
   // bulk write takes a Write predicate lock covering current rows and
@@ -380,7 +356,7 @@ Status LockingEngine::CloseCursor(TxnId txn) {
 
 Status LockingEngine::CloseCursorNamed(TxnId txn, const std::string& cursor) {
   TableLock lk(table_mu_);
-  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, ActiveState(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, txns_.Active(txn));
   auto it = st->cursors.find(cursor);
   if (it != st->cursors.end()) {
     if (it->second.lock != 0) lock_manager_.Release(it->second.lock);
@@ -393,7 +369,7 @@ Status LockingEngine::Commit(TxnId txn) {
   std::optional<uint64_t> wal_lsn;
   {
     TableLock lk(table_mu_);
-    CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+    CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, txns_.Active(txn));
     TxnState& st = *state;
     st.active = false;
     st.undo.clear();
@@ -419,7 +395,7 @@ Status LockingEngine::Commit(TxnId txn) {
 
 Status LockingEngine::Abort(TxnId txn) {
   TableLock lk(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(ActiveState(txn).status());
+  CRITIQUE_RETURN_NOT_OK(txns_.Active(txn).status());
   Rollback(txn);
   recorder_.Count(&EngineStats::aborts);
   Trace(txn, obs::TraceEventType::kAbort, obs::AbortReason::kExplicit);
@@ -430,7 +406,7 @@ Status LockingEngine::Prepare(TxnId txn) {
   std::optional<uint64_t> wal_lsn;
   {
     TableLock lk(table_mu_);
-    CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+    CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, txns_.Active(txn));
     // A lock scheduler's commit cannot fail: every conflict was already
     // resolved when the lock was granted.  Prepare therefore only pins the
     // transaction — locks stay held, undo stays applicable — until the
@@ -456,7 +432,7 @@ Status LockingEngine::CommitPrepared(TxnId txn) {
   std::optional<uint64_t> wal_lsn;
   {
     TableLock lk(table_mu_);
-    CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, PreparedState(txn));
+    CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, txns_.Prepared(txn));
     TxnState& st = *state;
     st.prepared = false;
     st.active = false;
@@ -476,7 +452,7 @@ Status LockingEngine::CommitPrepared(TxnId txn) {
 
 Status LockingEngine::AbortPrepared(TxnId txn) {
   TableLock lk(table_mu_);
-  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, PreparedState(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, txns_.Prepared(txn));
   // Buffered only (presumed abort): a lost abort record re-restores the
   // participant in doubt and the next recovery aborts it again.
   if (wal_ != nullptr) wal_->Append(WalRecord::Abort(txn));

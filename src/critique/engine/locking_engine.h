@@ -146,15 +146,6 @@ class LockingEngine : public Engine {
   /// mutex).  Requires `table_mu_` shared.
   Status BeginLocked(TxnId txn, LockingPolicy policy);
 
-  /// The state of `txn`, or the refusal when it is not active
-  /// (kTransactionAborted) or is prepared (kFailedPrecondition — in doubt,
-  /// only the coordinator may end it).  Requires `table_mu_` (any mode).
-  Result<TxnState*> ActiveState(TxnId txn);
-
-  /// The state of `txn`, or kFailedPrecondition unless it is prepared (in
-  /// doubt).  Requires `table_mu_`.
-  Result<TxnState*> PreparedState(TxnId txn);
-
   /// Rolls `txn` back: undo LIFO, release locks, record `a<txn>`.
   /// Requires `table_mu_` shared; takes `store_mu_` internally.
   void Rollback(TxnId txn);

@@ -103,32 +103,6 @@ Status SnapshotIsolationEngine::BeginAtLocked(TxnId txn,
   return Status::OK();
 }
 
-Result<SnapshotIsolationEngine::TxnState*>
-SnapshotIsolationEngine::ActiveState(TxnId txn) {
-  TxnState* st = txns_.Find(txn);
-  if (st == nullptr || !st->active) {
-    return Status::TransactionAborted("txn " + std::to_string(txn) +
-                                      " is not active");
-  }
-  if (st->prepared) {
-    return Status::FailedPrecondition(
-        "txn " + std::to_string(txn) +
-        " is prepared (in doubt); only CommitPrepared/AbortPrepared may end "
-        "it");
-  }
-  return st;
-}
-
-Result<SnapshotIsolationEngine::TxnState*>
-SnapshotIsolationEngine::PreparedState(TxnId txn) {
-  TxnState* st = txns_.Find(txn);
-  if (st == nullptr || !st->active || !st->prepared) {
-    return Status::FailedPrecondition("txn " + std::to_string(txn) +
-                                      " is not prepared");
-  }
-  return st;
-}
-
 void SnapshotIsolationEngine::EraseWriter(TxnId txn,
                                           const std::set<ItemId>& items) {
   for (const ItemId& id : items) {
@@ -339,7 +313,7 @@ std::optional<std::string> SnapshotIsolationEngine::SsiRefusal(
 Result<std::optional<Row>> SnapshotIsolationEngine::DoRead(TxnId txn,
                                                            const ItemId& id,
                                                            Action::Type type) {
-  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, txns_.Active(txn));
   TxnState& st = *state;
 
   // Recorded under the store latch: a read can never precede the record
@@ -391,7 +365,7 @@ Result<LockHandle> SnapshotIsolationEngine::LockItem(TableLock& tl, TxnId txn,
 Result<std::optional<Row>> SnapshotIsolationEngine::FetchCursor(
     TxnId txn, const ItemId& id) {
   TableLock tl(table_mu_);
-  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, ActiveState(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, txns_.Active(txn));
   // Snapshot reads never block; a cursor adds nothing under SI.  ORC's
   // fetch is SELECT ... FOR UPDATE: the Write lock at fetch is what rules
   // out P4C.
@@ -405,7 +379,7 @@ Result<std::vector<std::pair<ItemId, Row>>>
 SnapshotIsolationEngine::ReadPredicate(TxnId txn, const std::string& name,
                                        const Predicate& pred) {
   TableLock tl(table_mu_);
-  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, txns_.Active(txn));
   TxnState& st = *state;
 
   std::vector<std::pair<ItemId, Row>> rows;
@@ -472,7 +446,7 @@ Status SnapshotIsolationEngine::DoWrite(TableLock& tl, TxnId txn,
                                         std::optional<Row> new_row,
                                         Action::Type type, bool is_insert,
                                         bool locked) {
-  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, txns_.Active(txn));
   TxnState& st = *state;
   if (TakesWriteLocks(st) && !locked) {
     CRITIQUE_ASSIGN_OR_RETURN(LockHandle h, LockItem(tl, txn, id));
@@ -543,7 +517,7 @@ Status SnapshotIsolationEngine::Write(TxnId txn, const ItemId& id, Row row) {
 
 Status SnapshotIsolationEngine::Insert(TxnId txn, const ItemId& id, Row row) {
   TableLock tl(table_mu_);
-  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, ActiveState(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, txns_.Active(txn));
   CRITIQUE_RETURN_NOT_OK(CheckWritable(txn, *st, id, /*is_insert=*/true));
   return DoWrite(tl, txn, id, std::move(row), Action::Type::kWrite,
                  /*is_insert=*/true);
@@ -551,7 +525,7 @@ Status SnapshotIsolationEngine::Insert(TxnId txn, const ItemId& id, Row row) {
 
 Status SnapshotIsolationEngine::Delete(TxnId txn, const ItemId& id) {
   TableLock tl(table_mu_);
-  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, ActiveState(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, txns_.Active(txn));
   CRITIQUE_RETURN_NOT_OK(CheckWritable(txn, *st, id, /*is_insert=*/false));
   return DoWrite(tl, txn, id, std::nullopt, Action::Type::kWrite,
                  /*is_insert=*/false);
@@ -561,7 +535,7 @@ Status SnapshotIsolationEngine::Update(
     TxnId txn, const ItemId& id,
     const std::function<Row(const std::optional<Row>&)>& transform) {
   TableLock tl(table_mu_);
-  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, ActiveState(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, txns_.Active(txn));
   // ORC's statement-level write consistency: lock first, then apply the
   // transform to the most recent committed value ("the underlying
   // mechanism recomputes the appropriate version of the row as of the
@@ -578,7 +552,7 @@ Result<size_t> SnapshotIsolationEngine::UpdateWhere(
     TxnId txn, const std::string& name, const Predicate& pred,
     const std::function<Row(const Row&)>& transform) {
   TableLock tl(table_mu_);
-  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, txns_.Active(txn));
   TxnState& st = *state;
   if (TakesWriteLocks(st)) {
     // Item by item, so every row is written under its Write lock.
@@ -623,7 +597,7 @@ Result<size_t> SnapshotIsolationEngine::DeleteWhere(TxnId txn,
                                                     const std::string& name,
                                                     const Predicate& pred) {
   TableLock tl(table_mu_);
-  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, txns_.Active(txn));
   TxnState& st = *state;
   if (TakesWriteLocks(st)) {
     tl.unlock();
@@ -672,7 +646,7 @@ Status SnapshotIsolationEngine::WriteCursor(TxnId txn, const ItemId& id,
 
 Status SnapshotIsolationEngine::CloseCursor(TxnId txn) {
   TableLock tl(table_mu_);
-  return ActiveState(txn).status();
+  return txns_.Active(txn).status();
 }
 
 void SnapshotIsolationEngine::ReleaseReservations(TxnId txn,
@@ -812,7 +786,7 @@ Status SnapshotIsolationEngine::Commit(TxnId txn) {
   {
     obs::ScopedTimer t(stage1_hist_);
     TableLock tl(table_mu_);
-    CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, ActiveState(txn));
+    CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, txns_.Active(txn));
     locks = TakesWriteLocks(*st);
     std::lock_guard<std::mutex> cl(commit_mu_);
     CRITIQUE_RETURN_NOT_OK(ValidateAndReserve(txn, *st));
@@ -864,7 +838,7 @@ Status SnapshotIsolationEngine::Prepare(TxnId txn) {
   {
     obs::ScopedTimer t(stage1_hist_);
     TableLock tl(table_mu_);
-    CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, ActiveState(txn));
+    CRITIQUE_ASSIGN_OR_RETURN(TxnState* state, txns_.Active(txn));
     TxnState& st = *state;
     std::lock_guard<std::mutex> cl(commit_mu_);
     CRITIQUE_RETURN_NOT_OK(ValidateAndReserve(txn, st));
@@ -898,7 +872,7 @@ Status SnapshotIsolationEngine::CommitPrepared(TxnId txn) {
   {
     obs::ScopedTimer t(stage2_hist_);
     TableLock tl(table_mu_);
-    CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, PreparedState(txn));
+    CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, txns_.Prepared(txn));
     locks = TakesWriteLocks(*st);
     std::lock_guard<std::mutex> cl(commit_mu_);
     // Stage 2 at the decision phase: a dangerous structure that completed
@@ -917,7 +891,7 @@ Status SnapshotIsolationEngine::CommitPrepared(TxnId txn) {
 
 Status SnapshotIsolationEngine::AbortPrepared(TxnId txn) {
   TableLock tl(table_mu_);
-  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, PreparedState(txn));
+  CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, txns_.Prepared(txn));
   {
     std::lock_guard<std::mutex> cl(commit_mu_);
     // Buffered only, never synced: presumed abort means a lost abort
@@ -943,7 +917,7 @@ std::vector<TxnId> SnapshotIsolationEngine::InDoubtTransactions() const {
 
 Status SnapshotIsolationEngine::Abort(TxnId txn) {
   TableLock tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(ActiveState(txn).status());
+  CRITIQUE_RETURN_NOT_OK(txns_.Active(txn).status());
   return AbortInternal(txn, Status::OK(), &EngineStats::aborts,
                        obs::AbortReason::kExplicit);
 }

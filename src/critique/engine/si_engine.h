@@ -381,13 +381,6 @@ class SnapshotIsolationEngine : public Engine {
 
   using TableLock = std::shared_lock<std::shared_mutex>;
 
-  /// The state of `txn` if it is active and not prepared, else the
-  /// refusal (kTransactionAborted, or kFailedPrecondition when in doubt).
-  /// `PreparedState` is the in-doubt counterpart.  Require `table_mu_`
-  /// shared (the entry is read by its own session).
-  Result<TxnState*> ActiveState(TxnId txn);
-  Result<TxnState*> PreparedState(TxnId txn);
-
   /// Rolls `txn` back: discards its pending versions, records `a<t>`
   /// (charging `counter` when non-null), marks the state aborted and
   /// releases ORC Write locks.  Requires `table_mu_` shared; takes

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "critique/common/result.h"
 #include "critique/common/status.h"
 #include "critique/history/action.h"
 
@@ -23,8 +24,9 @@ namespace critique {
 /// only `EraseIf` removes them, which callers run with the table latch
 /// exclusive, when no session holds a reference.
 ///
-/// The mutex guards the map, not the states: who may read or write a
-/// state's fields is the engine's rule (the owning session's thread, plus
+/// `State` carries the `active` and `prepared` flags `Active`/`Prepared`
+/// test.  The mutex guards the map, not the states: who may read or write
+/// a state's fields is the engine's rule (the owning session's thread, plus
 /// the SSI latch for the multiversion engine's cross-session fields).  It
 /// is the innermost engine latch; nothing else is acquired while it is
 /// held except inside a `Register` initializer, which must take no latch.
@@ -61,6 +63,36 @@ class TxnTable {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = map_.find(txn);
     return it == map_.end() ? nullptr : &it->second;
+  }
+
+  /// The state of `txn` if it is active and not prepared, else the
+  /// refusal: kTransactionAborted when it is not active, kFailedPrecondition
+  /// when it is prepared (in doubt, only the coordinator may end it).
+  /// Callers hold their table latch (the flags are the owner's).
+  Result<State*> Active(TxnId txn) {
+    State* st = Find(txn);
+    if (st == nullptr || !st->active) {
+      return Status::TransactionAborted("txn " + std::to_string(txn) +
+                                        " is not active");
+    }
+    if (st->prepared) {
+      return Status::FailedPrecondition(
+          "txn " + std::to_string(txn) +
+          " is prepared (in doubt); only CommitPrepared/AbortPrepared may "
+          "end it");
+    }
+    return st;
+  }
+
+  /// The state of `txn` if it is prepared (in doubt), else
+  /// kFailedPrecondition.
+  Result<State*> Prepared(TxnId txn) {
+    State* st = Find(txn);
+    if (st == nullptr || !st->active || !st->prepared) {
+      return Status::FailedPrecondition("txn " + std::to_string(txn) +
+                                        " is not prepared");
+    }
+    return st;
   }
 
   /// Calls `f(txn, state)` for every entry in id order, holding the
