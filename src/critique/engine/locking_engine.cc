@@ -119,9 +119,8 @@ Result<std::optional<Row>> LockingEngine::DoRead(TableLock& lk, TxnId txn,
                                                  Action::Type type,
                                                  const std::string& cursor) {
   CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, txns_.Active(txn));
-  // Copied: the policy is read again after a blocking Acquire has dropped
-  // the table latch.  The state itself stays put (nodes are stable and
-  // this engine never erases one).
+  // `st` stays valid across a blocking Acquire that drops the table latch:
+  // map nodes never move, and this engine never erases one.
   const LockingPolicy pol = st->policy;
 
   LockHandle handle = 0;
