@@ -67,7 +67,7 @@ int main() {
   // escape hatch: with no live snapshots, old versions fold away.
   auto& si = dynamic_cast<SnapshotIsolationEngine&>(db.engine());
   size_t before = si.VersionCount();
-  size_t dropped = si.GarbageCollect();
+  size_t dropped = si.GarbageCollectVersions();
   std::printf("\ngarbage collection: %zu versions -> %zu (dropped %zu)\n",
               before, si.VersionCount(), dropped);
   return 0;

@@ -24,12 +24,17 @@
 #            the commit-pipeline fix failed ~1/15 TSan runs) together with
 #            ConcurrencyTest.BeginRacesWatermarkGc (begins under the
 #            shared table latch racing a GC pass after every commit: no
-#            begin refused below the floor, no read of a pruned chain),
-#            then the blocking lock-wait suite (LockManagerBlockingTest.*,
+#            begin refused below the floor, no read of a pruned chain)
+#            and ConcurrencyTest.CrossShardSsiCommitsAllOrNothing (2PC
+#            over two SSI shards with slow simulated fsyncs: no refused
+#            commit decision, every global transaction committed on all
+#            the shards it touched or on none), then the blocking
+#            lock-wait suite (LockManagerBlockingTest.*,
 #            LockStripingTest.Blocking*, LockStripingStressTest.*: park
 #            slots, FIFO handoff, timeouts racing wakeups).  Zero failures
 #            required; any data race, non-serializable committed history,
-#            lost wakeup or stranded lock fails the loop.
+#            partial cross-shard commit, lost wakeup or stranded lock
+#            fails the loop.
 #   --crash  build under AddressSanitizer and run the durability crash
 #            matrix: the WAL format/pipeline suite plus every
 #            kill-and-recover test (single-site, group commit, and the
@@ -168,8 +173,9 @@ if [[ "$CRASH" -eq 1 ]]; then
 fi
 
 if [[ "$STRESS" -eq 1 ]]; then
-  # The stress loops: the SSI commit-pipeline regression pin and the
-  # begin-versus-GC race, then the lock-wait pin (a blocked thread parks on its registration's one-shot
+  # The stress loops: the SSI commit-pipeline regression pin, the
+  # begin-versus-GC race and the cross-shard SSI atomicity oracle, then
+  # the lock-wait pin (a blocked thread parks on its registration's one-shot
   # slot; a release signals it outside the latches, possibly racing the
   # waiter's own timeout).  One gtest process per loop repeats its tests
   # so every iteration reuses the warmed TSan runtime;
@@ -177,7 +183,7 @@ if [[ "$STRESS" -eq 1 ]]; then
   # exit.  TSan itself fails the run on any data race.
   RUNS="${STRESS_RUNS:-30}"
   for FILTER in \
-      'ConcurrencyTest.CommittedSerializableHistoriesStaySerializable:ConcurrencyTest.BeginRacesWatermarkGc' \
+      'ConcurrencyTest.CommittedSerializableHistoriesStaySerializable:ConcurrencyTest.BeginRacesWatermarkGc:ConcurrencyTest.CrossShardSsiCommitsAllOrNothing' \
       'LockManagerBlockingTest.*:LockStripingTest.Blocking*:LockStripingStressTest.*'; do
     TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     "$BUILD_DIR"/critique_tests --gtest_filter="$FILTER" \

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "critique/engine/engine_factory.h"
 
@@ -351,12 +350,15 @@ std::string Database::DebugDump() const {
 
 Status Database::Execute(const BeginOptions& opts,
                          const std::function<Status(Transaction&)>& body) {
-  // A begin refusal (the engine cannot honor the declared level) is
-  // terminal: retrying a contract the engine already rejected would loop
-  // forever.
-  for (int attempt = 1;; ++attempt) {
+  return RunWithRetries(*retry_, execute_retries_, [&](bool* terminal) {
+    // A begin refusal (the engine cannot honor the declared level) is
+    // terminal: retrying a contract the engine already rejected would loop
+    // forever.
     Result<Transaction> begun = Begin(opts);
-    if (!begun.ok()) return begun.status();
+    if (!begun.ok()) {
+      *terminal = true;
+      return begun.status();
+    }
     Transaction txn = std::move(begun).value();
     Status s = body(txn);
     // A body that ends its own transaction (Commit, Rollback, or an
@@ -364,14 +366,8 @@ Status Database::Execute(const BeginOptions& opts,
     // on success, roll back on failure.
     if (s.ok() && txn.active()) s = txn.Commit();
     if (txn.active()) (void)txn.Rollback();
-    if (s.ok()) return s;
-    if (!retry_->RetryTransaction(s, attempt)) return s;
-    execute_retries_.fetch_add(1, std::memory_order_relaxed);
-    const auto delay = retry_->RetryDelay(attempt);
-    if (delay > std::chrono::microseconds::zero()) {
-      std::this_thread::sleep_for(delay);
-    }
-  }
+    return s;
+  });
 }
 
 Status Database::Execute(const std::function<Status(Transaction&)>& body) {
@@ -603,11 +599,7 @@ Status Transaction::CommitPrepared() {
     return Status::TransactionAborted("transaction already finished");
   }
   Status s = db_->engine_->CommitPrepared(id_);
-  // A certifying engine (SSI) may refuse the decision when a dangerous
-  // structure completed while the participant was in doubt; the engine
-  // has then already rolled the transaction back, so the handle is
-  // finished either way.
-  if (s.ok() || s.IsSerializationFailure()) Finish();
+  if (s.ok()) Finish();
   return s;
 }
 

@@ -1,9 +1,12 @@
 #ifndef CRITIQUE_DB_RETRY_POLICY_H_
 #define CRITIQUE_DB_RETRY_POLICY_H_
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "critique/common/status.h"
 
@@ -120,6 +123,28 @@ class ExponentialBackoffRetryPolicy : public LimitedRetryPolicy {
 /// The default: `LimitedRetryPolicy(8, 0)` — restart aborted transaction
 /// bodies up to 8 times, never spin on a blocked operation.
 std::shared_ptr<const RetryPolicy> DefaultRetryPolicy();
+
+/// The restart loop behind `Database::Execute` and
+/// `ShardedDatabase::Execute`.  `attempt(bool* terminal)` runs one body
+/// attempt to a finished transaction and returns its status; it sets
+/// `*terminal` to surface a failure without asking `policy`.  Returns the
+/// first success, terminal failure, or failure `policy` declines to retry.
+/// Every re-run is counted in `retries` and preceded by the policy's
+/// delay.  A template, so the per-transaction path pays no type erasure.
+template <typename Attempt>
+Status RunWithRetries(const RetryPolicy& policy,
+                      std::atomic<uint64_t>& retries, Attempt&& attempt) {
+  for (int n = 1;; ++n) {
+    bool terminal = false;
+    Status s = attempt(&terminal);
+    if (s.ok() || terminal || !policy.RetryTransaction(s, n)) return s;
+    retries.fetch_add(1, std::memory_order_relaxed);
+    const auto delay = policy.RetryDelay(n);
+    if (delay > std::chrono::microseconds::zero()) {
+      std::this_thread::sleep_for(delay);
+    }
+  }
+}
 
 }  // namespace critique
 

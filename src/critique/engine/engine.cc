@@ -13,8 +13,7 @@ std::string EngineStats::ToString() const {
          " deadlock_aborts=" + std::to_string(deadlock_aborts) +
          " serialization_aborts=" + std::to_string(serialization_aborts) +
          " (fcw=" + std::to_string(fcw_aborts) +
-         " ssi=" + std::to_string(ssi_aborts) +
-         " in_doubt=" + std::to_string(in_doubt_aborts) + ")" +
+         " ssi=" + std::to_string(ssi_aborts) + ")" +
          " blocked_ops=" + std::to_string(blocked_ops);
 }
 
@@ -40,7 +39,6 @@ void Engine::RegisterMetrics(obs::MetricsRegistry& reg,
   field("serialization_aborts", &EngineStats::serialization_aborts);
   field("fcw_aborts", &EngineStats::fcw_aborts);
   field("ssi_aborts", &EngineStats::ssi_aborts);
-  field("in_doubt_aborts", &EngineStats::in_doubt_aborts);
   field("blocked_ops", &EngineStats::blocked_ops);
 }
 

@@ -39,11 +39,10 @@ struct EngineStats {
 
   // Breakdown of `serialization_aborts` by the paper's taxonomy (the same
   // tags the `obs::TxnTracer` records).  The aggregate above keeps
-  // counting for compatibility; these three always sum to it for the
-  // stock engines.
-  uint64_t fcw_aborts = 0;      ///< First-Committer/Updater-Wins conflicts
-  uint64_t ssi_aborts = 0;      ///< SSI dangerous-structure refusals
-  uint64_t in_doubt_aborts = 0; ///< 2PC decision-time revalidation refusals
+  // counting for compatibility; these two always sum to it for the stock
+  // engines.
+  uint64_t fcw_aborts = 0;  ///< First-Committer/Updater-Wins conflicts
+  uint64_t ssi_aborts = 0;  ///< SSI dangerous-structure refusals
 
   /// All aborts, whatever initiated them.
   uint64_t total_aborts() const {
@@ -436,17 +435,12 @@ class Engine {
   // until the coordinator's decision arrives as `CommitPrepared` or
   // `AbortPrepared`.
   //
-  // After an OK `Prepare`, `CommitPrepared` must not fail for engines
-  // whose prepared state pins every conflict it validated (lock
-  // schedulers: the locks held across the in-doubt window are the proof).
-  // A *certifying* engine (SSI) cannot promise that: certification is only
-  // complete at publication, so its `CommitPrepared` re-validates and may
-  // answer kSerializationFailure when a dangerous structure completed
-  // while the participant was in doubt — the engine has then already
-  // rolled the participant back, exactly as a failed `Commit`, and the
-  // refusal is an abort *acknowledgement* (the participant is terminal, no
-  // locks or versions leak).  Coordinators must treat such a refusal as a
-  // participant abort, not a protocol error (see shard/TxnCoordinator).
+  // After an OK `Prepare`, `CommitPrepared` cannot fail.  Lock schedulers
+  // keep that promise with the locks held across the in-doubt window; the
+  // multiversion engine keeps it by treating a prepared transaction as
+  // committed in every later SSI check, so the transaction that would
+  // complete a dangerous structure through it aborts instead.  A
+  // coordinator may treat any `CommitPrepared` failure as a protocol bug.
   //
   // The base-class defaults implement the *trivial participant* for
   // engines whose `Commit` cannot fail (pure lock schedulers): `Prepare`
@@ -470,10 +464,8 @@ class Engine {
     return Status::OK();
   }
 
-  /// Phase 2, commit decision: finishes a prepared transaction.  Succeeds
-  /// after an OK `Prepare` except on a certifying engine, whose
-  /// re-validation may refuse with kSerializationFailure (participant
-  /// already rolled back — see the protocol notes above).
+  /// Phase 2, commit decision: finishes a prepared transaction.  Cannot
+  /// fail after an OK `Prepare` (see the protocol notes above).
   virtual Status CommitPrepared(TxnId txn) { return Commit(txn); }
 
   /// Phase 2, abort decision: rolls back a prepared transaction.

@@ -149,9 +149,6 @@ Status SnapshotIsolationEngine::AbortInternal(TxnId txn, Status reason,
       case obs::AbortReason::kSsiDangerousStructure:
         recorder_.Count(&EngineStats::ssi_aborts);
         break;
-      case obs::AbortReason::kInDoubtDecision:
-        recorder_.Count(&EngineStats::in_doubt_aborts);
-        break;
       default:
         break;
     }
@@ -225,87 +222,66 @@ void SnapshotIsolationEngine::TrackWriteConflicts(
   }
 }
 
-bool SnapshotIsolationEngine::SsiPivot(const TxnState& st) const {
-  // A pivot has a live (non-aborted) rw edge on both sides.
-  auto live = [&](const std::set<TxnId>& peers) {
-    for (TxnId u : peers) {
-      const TxnState* peer = txns_.Find(u);
-      if (peer != nullptr && !peer->aborted) return true;
-    }
-    return false;
+std::optional<std::string> SnapshotIsolationEngine::SsiRefusal(
+    TxnId txn, const TxnState& st) {
+  if (!ssi()) return std::nullopt;
+  std::lock_guard<std::mutex> el(ssi_mu_);
+  // One pass over each side of `txn`.  A Serializable-SI neighbour P that
+  // can no longer abort — committed, or prepared (Ports & Grittner: a
+  // prepared transaction counts as committed) — is never the victim of a
+  // structure through it, so `txn` is refused instead, whatever its own
+  // level: the broken contract would be P's.
+  static const char kCompletes[] =
+      "ssi: commit would complete a dangerous structure through a "
+      "committed or prepared pivot";
+  auto final_ssi = [](const TxnState& p) {
+    return (p.committed || p.prepared) &&
+           p.level == IsolationLevel::kSerializableSI;
   };
-  return live(st.in_from) && live(st.out_to);
-}
-
-bool SnapshotIsolationEngine::CompletesCommittedPivot(
-    TxnId self, const TxnState& st) const {
-  // self -rw-> P with P committed: P can no longer abort, so if some other
-  // W in P's out-edges committed before P did (the dangerous structure's
-  // "T3 commits first"), self completing the in-edge side must abort
-  // instead.  This is the edge the old validate-once engine never
-  // re-examined: it forms *after* the pivot committed.
+  auto live = [&](TxnId u) -> const TxnState* {
+    const TxnState* t = txns_.Find(u);
+    return t == nullptr || t->aborted ? nullptr : t;  // retired or aborted
+  };
+  bool live_out = false;
   for (TxnId u : st.out_to) {
-    const TxnState* pivot = txns_.Find(u);
-    if (pivot == nullptr) continue;  // retired or gone: dead edge
-    const TxnState& p = *pivot;
-    if (!p.committed || p.aborted) continue;
-    // Only a Serializable-SI pivot's contract demands the refusal: a
-    // plain-SI pivot is permitted its write skew (the structure is its
-    // declared anomaly, not a broken guarantee).
-    if (p.level != IsolationLevel::kSerializableSI) continue;
-    if (p.committed_first_out) return true;  // witness retired by GC
-    for (TxnId w : p.out_to) {
-      if (w == self) continue;
-      const TxnState* wt = txns_.Find(w);
-      if (wt != nullptr && wt->committed && wt->commit_ts < p.commit_ts) {
-        return true;
+    const TxnState* p = live(u);
+    if (p == nullptr) continue;
+    live_out = true;
+    if (!final_ssi(*p)) continue;
+    // In-edge side: txn -rw-> P, and another out-neighbour W of P
+    // committed before P ("T3 commits first").  A prepared P commits
+    // after everything already committed.
+    if (p->committed_first_out) return kCompletes;  // witness retired by GC
+    const Timestamp p_end = p->committed ? p->commit_ts : ~Timestamp{0};
+    for (TxnId w : p->out_to) {
+      const TxnState* wt = w == txn ? nullptr : live(w);
+      if (wt != nullptr && wt->committed && wt->commit_ts < p_end) {
+        return kCompletes;
       }
     }
   }
-  return false;
-}
-
-bool SnapshotIsolationEngine::CompletedPivotInDoubt(const TxnState& st) const {
-  // The participant prepared as a non-pivot; while in doubt both sides of
-  // a dangerous structure closed around it: an in-edge source that
-  // committed (or itself prepared — it can still commit), and an out-edge
-  // target that committed, necessarily before this participant's still
-  // unassigned commit timestamp.
-  bool in_live = false;
+  bool live_in = false;
   for (TxnId u : st.in_from) {
-    const TxnState* src = txns_.Find(u);
-    if (src == nullptr || src->aborted) continue;
-    if (src->committed || src->prepared) {
-      in_live = true;
-      break;
+    const TxnState* p = live(u);
+    if (p == nullptr) continue;
+    live_in = true;
+    if (!p->prepared || !final_ssi(*p)) continue;
+    // Out-edge side: P -rw-> txn with P prepared, so txn commits first.
+    // If P's in-edge source can no longer abort either — or is txn
+    // itself: write skew with a prepared participant — the structure is
+    // complete.
+    for (TxnId r : p->in_from) {
+      if (r == txn) return kCompletes;
+      const TxnState* src = live(r);
+      if (src != nullptr && (src->committed || src->prepared)) {
+        return kCompletes;
+      }
     }
   }
-  if (!in_live) return false;
-  for (TxnId w : st.out_to) {
-    const TxnState* dst = txns_.Find(w);
-    if (dst != nullptr && !dst->aborted && dst->committed) return true;
-  }
-  return false;
-}
-
-std::optional<std::string> SnapshotIsolationEngine::SsiRefusal(
-    TxnId txn, const TxnState& st, bool decision) {
-  if (!ssi()) return std::nullopt;
-  std::lock_guard<std::mutex> el(ssi_mu_);
   // A transaction is refused as a pivot only under its own declared
   // Serializable-SI contract — a plain-SI neighbour keeps its write skew.
-  // The committed-pivot completion check below runs for *every* level,
-  // because there the broken contract would be the committed pivot's.
-  const bool self_ssi = st.level == IsolationLevel::kSerializableSI;
-  if (!decision && self_ssi && SsiPivot(st)) {
+  if (st.level == IsolationLevel::kSerializableSI && live_in && live_out) {
     return "ssi: pivot in an rw-antidependency dangerous structure";
-  }
-  if (decision && self_ssi && CompletedPivotInDoubt(st)) {
-    return "ssi: dangerous structure completed while prepared (in doubt)";
-  }
-  if (CompletesCommittedPivot(txn, st)) {
-    return "ssi: commit would complete a dangerous structure through an "
-           "already-committed pivot";
   }
   return std::nullopt;
 }
@@ -714,7 +690,7 @@ Status SnapshotIsolationEngine::ValidateAndReserve(TxnId txn, TxnState& st) {
     }
   }
 
-  if (auto refusal = SsiRefusal(txn, st, /*decision=*/false)) {
+  if (auto refusal = SsiRefusal(txn, st)) {
     return AbortInternal(txn, Status::SerializationFailure(*refusal),
                          &EngineStats::serialization_aborts,
                          obs::AbortReason::kSsiDangerousStructure);
@@ -724,27 +700,8 @@ Status SnapshotIsolationEngine::ValidateAndReserve(TxnId txn, TxnState& st) {
   return Status::OK();
 }
 
-Status SnapshotIsolationEngine::RevalidateAndPublish(
-    TxnId txn, TxnState& st, bool decision, std::optional<uint64_t>* wal_lsn) {
-
-  // Re-validation: rw-antidependencies that formed after stage 1 — during
-  // the commit window, or the whole in-doubt window for a prepared
-  // participant — are examined here against the current edge state.
-  // First-Committer-Wins needs no re-run: the write-set reservation taken
-  // at stage 1 kept every overlapping committer out.
-  if (auto refusal = SsiRefusal(txn, st, decision)) {
-    ReleaseReservations(txn, st);
-    if (decision) {
-      ++pipeline_stats_.decision_aborts;
-    } else {
-      ++pipeline_stats_.revalidation_aborts;
-    }
-    return AbortInternal(txn, Status::SerializationFailure(*refusal),
-                         &EngineStats::serialization_aborts,
-                         decision ? obs::AbortReason::kInDoubtDecision
-                                  : obs::AbortReason::kSsiDangerousStructure);
-  }
-
+void SnapshotIsolationEngine::Publish(TxnId txn, TxnState& st,
+                                      std::optional<uint64_t>* wal_lsn) {
   // Publish: the commit timestamp is drawn inside the store-exclusive
   // section that stamps the versions, so any snapshot new enough to see
   // the timestamp is guaranteed to find the versions already stamped —
@@ -757,13 +714,13 @@ Status SnapshotIsolationEngine::RevalidateAndPublish(
       st.commit_ts = clock_.Tick();
       store_->CommitTxn(txn, st.commit_ts, st.write_set);
       recorder_.Record(Action::Commit(txn), &EngineStats::commits);
-      if (wal_ != nullptr && (decision || !st.write_set.empty())) {
+      if (wal_ != nullptr && (st.prepared || !st.write_set.empty())) {
         // Inside the publication section, behind commit_mu_: log order is
         // commit order, the property recovery's sequential replay relies
         // on.  Prepared participants already logged their write set at
         // Prepare (slim commit); read-only decisions still log the commit
         // so replay can resolve the restored in-doubt participant.
-        if (!decision && !st.redo.empty()) {
+        if (!st.prepared && !st.redo.empty()) {
           wal_->Append(WalRecord::WriteSet(txn, WalImagesFromMap(st.redo)));
         }
         *wal_lsn = wal_->Append(WalRecord::Commit(txn, st.commit_ts));
@@ -777,7 +734,6 @@ Status SnapshotIsolationEngine::RevalidateAndPublish(
   ReleaseReservations(txn, st);
   if (!ssi()) st.write_set.clear();  // only SSI edges read it after commit
   Trace(txn, obs::TraceEventType::kCommit);
-  return Status::OK();
 }
 
 Status SnapshotIsolationEngine::Commit(TxnId txn) {
@@ -807,8 +763,18 @@ Status SnapshotIsolationEngine::Commit(TxnId txn) {
     // Still active (reserved, unpublished), so no GC pass retired it.
     TxnState& st = *txns_.Find(txn);
     std::lock_guard<std::mutex> cl(commit_mu_);
-    CRITIQUE_RETURN_NOT_OK(
-        RevalidateAndPublish(txn, st, /*decision=*/false, &wal_lsn));
+    // Re-validation: rw-antidependencies that formed during the commit
+    // window are examined against the current edge state.
+    // First-Committer-Wins needs no re-run: the write-set reservation
+    // taken at stage 1 kept every overlapping committer out.
+    if (auto refusal = SsiRefusal(txn, st)) {
+      ReleaseReservations(txn, st);
+      ++pipeline_stats_.revalidation_aborts;
+      return AbortInternal(txn, Status::SerializationFailure(*refusal),
+                           &EngineStats::serialization_aborts,
+                           obs::AbortReason::kSsiDangerousStructure);
+    }
+    Publish(txn, st, &wal_lsn);
     gc_due = GcTick();
   }
   // ORC's Write locks outlive publication, so a waiter granted one reads
@@ -832,8 +798,10 @@ bool SnapshotIsolationEngine::GcTick() {
 
 Status SnapshotIsolationEngine::Prepare(TxnId txn) {
   // Commit-pipeline stage 1 only: prepare is the participant's last
-  // *unprompted* chance to refuse; the write-set reservation then rides
-  // the whole in-doubt window, and stage 2 runs at the decision.
+  // chance to refuse.  The write-set reservation then rides the whole
+  // in-doubt window, and from here on the SSI checks of every other
+  // commit treat this transaction as committed, so the decision only
+  // publishes.
   std::optional<uint64_t> wal_lsn;
   {
     obs::ScopedTimer t(stage1_hist_);
@@ -875,12 +843,9 @@ Status SnapshotIsolationEngine::CommitPrepared(TxnId txn) {
     CRITIQUE_ASSIGN_OR_RETURN(TxnState* st, txns_.Prepared(txn));
     locks = TakesWriteLocks(*st);
     std::lock_guard<std::mutex> cl(commit_mu_);
-    // Stage 2 at the decision phase: a dangerous structure that completed
-    // while in doubt aborts the participant here (kSerializationFailure;
-    // already rolled back) instead of publishing a non-serializable
-    // commit.
-    CRITIQUE_RETURN_NOT_OK(
-        RevalidateAndPublish(txn, *st, /*decision=*/true, &wal_lsn));
+    // Stage 2 without re-validation: a prepared transaction is never an
+    // SSI victim (see SsiRefusal), so the decision cannot be refused.
+    Publish(txn, *st, &wal_lsn);
     gc_due = GcTick();
   }
   if (locks) lock_manager_.ReleaseAll(txn);  // see Commit
@@ -1032,9 +997,6 @@ void SnapshotIsolationEngine::RegisterMetrics(obs::MetricsRegistry& reg,
   });
   reg.RegisterGauge(prefix + "pipeline.revalidation_aborts", [this] {
     return commit_pipeline_stats().revalidation_aborts;
-  });
-  reg.RegisterGauge(prefix + "pipeline.decision_aborts", [this] {
-    return commit_pipeline_stats().decision_aborts;
   });
   reg.RegisterHistogram(prefix + "pipeline.validate_us", &stage1_hist_);
   reg.RegisterHistogram(prefix + "pipeline.publish_us", &stage2_hist_);

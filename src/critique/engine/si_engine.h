@@ -37,9 +37,6 @@ struct CommitPipelineStats {
   /// and version publication (a dangerous structure completed inside the
   /// commit window).
   uint64_t revalidation_aborts = 0;
-  /// Prepared (in-doubt) participants refused at `CommitPrepared` because
-  /// their dangerous structure completed while they were in doubt.
-  uint64_t decision_aborts = 0;
 };
 
 /// \brief The multiversion engine: Snapshot Isolation (Section 4.2), its
@@ -118,7 +115,7 @@ struct CommitPipelineStats {
 ///     next commit-sequence slot, runs First-Committer-Wins, the in-doubt
 ///     write-set reservation check, and the SSI dangerous-structure checks
 ///     (its own pivot status *and* whether its commit would complete a
-///     structure through an already-committed pivot).  On success its
+///     structure through a committed or prepared pivot).  On success its
 ///     write set is reserved so no overlapping transaction can slip
 ///     through validation while this one is between stages.
 ///  2. *Re-validate + publish*: under `commit_mu_` again, the SSI checks
@@ -129,9 +126,8 @@ struct CommitPipelineStats {
 ///
 /// `Prepare` is stage 1 with the transaction frozen in doubt (the
 /// reservation held until the coordinator decides); `CommitPrepared` is
-/// stage 2, so a participant whose dangerous structure completed while in
-/// doubt aborts at the decision phase with `kSerializationFailure` instead
-/// of publishing a non-serializable commit (see the 2PC notes below).
+/// stage 2 without the re-validation: it publishes and cannot refuse (see
+/// the 2PC notes below).
 class SnapshotIsolationEngine : public Engine {
  public:
   /// `level` is the native level: kSnapshotIsolation, kSerializableSI or
@@ -203,21 +199,16 @@ class SnapshotIsolationEngine : public Engine {
   // untouched — pending versions stay invisible and "a transaction
   // running in Snapshot Isolation is never blocked attempting a read".
   //
-  // `CommitPrepared` is commit-pipeline stage 2: it *re-runs* the SSI
-  // dangerous-structure checks against every rw-antidependency that formed
-  // while the participant was in doubt.  If the participant became the
-  // pivot of a completed dangerous structure during that window (its
-  // in-edge source committed or prepared, its out-edge target committed
-  // first — the Ports & Grittner prepared-transaction hazard), the
-  // decision phase refuses with kSerializationFailure and the engine has
-  // already rolled the participant back, exactly as a failed `Commit`.
-  // This binds into the coordinator's presumed-abort rules: the refusal is
-  // an abort acknowledgement, never an open question (the participant is
-  // terminal either way), and `AbortPrepared` is unaffected.  Engines
-  // whose prepare pins every conflict under locks still promise an
-  // infallible CommitPrepared; a *certifying* engine cannot, because
-  // certification is only complete at publication.  An ORC participant
-  // additionally keeps its Write locks through the in-doubt window.
+  // From an OK `Prepare` on, the transaction counts as committed for SSI
+  // conflict purposes (Ports & Grittner, VLDB 2012): it is never the
+  // victim of a dangerous structure, and the transaction whose commit
+  // would complete one through it aborts instead.  Once prepared it runs
+  // no more operations, so every edge that later forms on it has an active
+  // other endpoint whose own commit runs that check.  `CommitPrepared` is
+  // therefore commit-pipeline stage 2 without the re-validation: it
+  // publishes and cannot fail, the textbook participant contract.  An ORC
+  // participant additionally keeps its Write locks through the in-doubt
+  // window.
   Status Prepare(TxnId txn) override;
   Status CommitPrepared(TxnId txn) override;
   Status AbortPrepared(TxnId txn) override;
@@ -241,9 +232,6 @@ class SnapshotIsolationEngine : public Engine {
 
   /// Runs one GC pass now; returns the number of versions discarded.
   size_t GarbageCollectVersions() override;
-
-  /// Backwards-compatible alias for `GarbageCollectVersions`.
-  size_t GarbageCollect() { return GarbageCollectVersions(); }
 
   /// Stored version count (GC observability).
   size_t VersionCount() const override {
@@ -277,8 +265,7 @@ class SnapshotIsolationEngine : public Engine {
     return gc_floor_.load(std::memory_order_acquire);
   }
 
-  /// Commit-pipeline counters (slots issued, window re-validation aborts,
-  /// in-doubt decision aborts).
+  /// Commit-pipeline counters (slots issued, window re-validation aborts).
   CommitPipelineStats commit_pipeline_stats() const {
     std::lock_guard<std::mutex> lk(commit_mu_);
     return pipeline_stats_;
@@ -402,17 +389,14 @@ class SnapshotIsolationEngine : public Engine {
   /// is aborted and the refusal returned.
   Status ValidateAndReserve(TxnId txn, TxnState& st);
 
-  /// Commit-pipeline stage 2 for `txn` (already validated): re-runs the
-  /// SSI checks, then publishes versions at a fresh commit timestamp and
-  /// retires the reservation.  `decision` distinguishes a CommitPrepared
-  /// (refined in-doubt completion check, decision_aborts counter) from a
-  /// plain Commit window re-validation.  Same latch contract as stage 1.
-  /// When a WAL is attached, the publication section appends the redo +
-  /// commit records and stores the commit LSN in `*wal_lsn` (untouched
-  /// when nothing was logged); the caller waits on it *after* releasing
-  /// every latch.
-  Status RevalidateAndPublish(TxnId txn, TxnState& st, bool decision,
-                              std::optional<uint64_t>* wal_lsn);
+  /// Commit-pipeline publication for `txn` (validated, and re-validated
+  /// unless prepared): stamps the versions at a fresh commit timestamp and
+  /// retires the reservation.  Same latch contract as stage 1.  When a WAL
+  /// is attached, the publication section appends the redo + commit
+  /// records and stores the commit LSN in `*wal_lsn` (untouched when
+  /// nothing was logged); the caller waits on it *after* releasing every
+  /// latch.
+  void Publish(TxnId txn, TxnState& st, std::optional<uint64_t>* wal_lsn);
 
   /// Drops `txn`'s write-set reservations.  Requires `commit_mu_`.
   void ReleaseReservations(TxnId txn, const TxnState& st);
@@ -458,24 +442,6 @@ class SnapshotIsolationEngine : public Engine {
   /// or `table_mu_` exclusive.
   void EraseWriter(TxnId txn, const std::set<ItemId>& items);
 
-  /// Conservative pivot test: a live (non-aborted) rw edge on both sides.
-  /// Requires `ssi_mu_`.
-  bool SsiPivot(const TxnState& st) const;
-
-  /// True when committing `st` (id `self`) would complete a dangerous
-  /// structure whose pivot P is already *committed*: self -rw-> P and some
-  /// other W in P's out-edges committed before P did (Cahill's
-  /// committed-pivot rule — P can no longer abort, so self must).
-  /// Requires `ssi_mu_`.
-  bool CompletesCommittedPivot(TxnId self, const TxnState& st) const;
-
-  /// The refined decision-phase test for a prepared participant: its
-  /// dangerous structure *completed* while in doubt — an in-edge source
-  /// committed or prepared AND an out-edge target committed (committed
-  /// first, since this participant has no commit timestamp yet).
-  /// Requires `ssi_mu_`.
-  bool CompletedPivotInDoubt(const TxnState& st) const;
-
   /// Guard over the per-transaction state that SSI bookkeeping reads
   /// across sessions: locked in SSI mode, disengaged (and free) at plain
   /// SI, where all such state is owner-thread-only.  Every mutation of
@@ -486,11 +452,17 @@ class SnapshotIsolationEngine : public Engine {
     return lk;
   }
 
-  /// The SSI refusals shared by stage 1 and the stage-2 re-validation.
-  /// Returns the refusal message, or nullopt to admit.  Requires
-  /// `table_mu_` shared; takes `ssi_mu_` internally.  No-op at plain SI.
-  std::optional<std::string> SsiRefusal(TxnId txn, const TxnState& st,
-                                        bool decision);
+  /// The SSI refusals shared by stage 1 and the stage-2 re-validation,
+  /// one pass over each side of `txn`: its own pivot status (a live rw
+  /// edge on both sides, under its own Serializable-SI contract), and
+  /// whether its commit would complete a dangerous structure through a
+  /// Serializable-SI pivot P that can no longer abort — committed or
+  /// prepared.  In-edge side: txn -rw-> P and another out-neighbour of P
+  /// committed before P.  Out-edge side: P -rw-> txn, P prepared, and P's
+  /// in-edge source committed, prepared, or txn itself.  Returns the
+  /// refusal message, or nullopt to admit.  Requires `table_mu_` shared;
+  /// takes `ssi_mu_` internally.  No-op at plain SI.
+  std::optional<std::string> SsiRefusal(TxnId txn, const TxnState& st);
 
   /// One GC pass: compute the watermark, prune chains, raise the floor,
   /// and (kWatermark mode) retire finished transaction states plus their

@@ -3,11 +3,9 @@
 #include <sys/stat.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <thread>
 
 #include "critique/wal/recovery.h"
 #include "critique/wal/wal_writer.h"
@@ -165,22 +163,19 @@ Status ShardedDatabase::Execute(
 Status ShardedDatabase::Execute(
     const BeginOptions& opts,
     const std::function<Status(ShardedTransaction&)>& body) {
-  for (int attempt = 1;; ++attempt) {
+  return RunWithRetries(*retry_, execute_retries_, [&](bool* terminal) {
     ShardedTransaction txn = Begin(opts);
     Status s = body(txn);
     // A shard that refused the declared contract at first touch
     // (FailedPrecondition) can never honor it on a re-run: terminal.
-    if (s.IsFailedPrecondition()) return s;
+    if (s.IsFailedPrecondition()) {
+      *terminal = true;
+      return s;
+    }
     if (s.ok() && txn.active()) s = txn.Commit();
     if (txn.active()) (void)txn.Rollback();
-    if (s.ok()) return s;
-    if (!retry_->RetryTransaction(s, attempt)) return s;
-    execute_retries_.fetch_add(1, std::memory_order_relaxed);
-    const auto delay = retry_->RetryDelay(attempt);
-    if (delay > std::chrono::microseconds::zero()) {
-      std::this_thread::sleep_for(delay);
-    }
-  }
+    return s;
+  });
 }
 
 ShardedDatabase::RecoveryReport ShardedDatabase::RecoverInDoubt() {
@@ -196,17 +191,6 @@ ShardedDatabase::RecoveryReport ShardedDatabase::RecoverInDoubt() {
       const bool commit = coordinator_.DecisionFor(gid).value_or(false);
       Status s = commit ? engine.CommitPrepared(gid)
                         : engine.AbortPrepared(gid);
-      if (commit && s.IsSerializationFailure()) {
-        // A certifying participant re-validated at the decision and found
-        // its dangerous structure completed while in doubt: it aborted
-        // itself (terminal, nothing leaked).  The gid still resolves —
-        // recovery must not spin on it — but the participant is an abort,
-        // not a forward roll.
-        ++rep.decision_aborts;
-        coordinator_.CountDecisionAbort();
-        resolved[gid].first = true;
-        continue;
-      }
       if (!s.ok()) continue;  // raced with another resolver; nothing leaked
       if (commit) {
         ++rep.committed;
@@ -238,11 +222,10 @@ EngineStats ShardedDatabase::StatsAggregate() const {
     total.serialization_aborts += s.serialization_aborts;
     total.blocked_ops += s.blocked_ops;
     // The taxonomy breakdown sums like its aggregate — dropping it here
-    // silently broke `fcw + ssi + in_doubt == serialization_aborts` at the
-    // facade level.
+    // silently broke `fcw + ssi == serialization_aborts` at the facade
+    // level.
     total.fcw_aborts += s.fcw_aborts;
     total.ssi_aborts += s.ssi_aborts;
-    total.in_doubt_aborts += s.in_doubt_aborts;
   }
   return total;
 }

@@ -188,12 +188,6 @@ class ShardedDatabase {
   struct RecoveryReport {
     uint64_t committed = 0;  ///< in-doubt participants rolled forward
     uint64_t aborted = 0;    ///< in-doubt participants presumed aborted
-    /// Participants whose logged *commit* decision was refused by the
-    /// engine's decision-phase re-validation (a certifying SSI
-    /// participant whose dangerous structure completed while in doubt);
-    /// the engine rolled them back — nothing leaks, the refusal is the
-    /// abort acknowledgement.
-    uint64_t decision_aborts = 0;
   };
 
   /// Resolves every in-doubt participant on every shard against the

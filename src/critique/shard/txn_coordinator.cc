@@ -9,7 +9,6 @@ std::string CoordinatorStats::ToString() const {
          " committed=" + std::to_string(committed) +
          " aborted=" + std::to_string(aborted) +
          " prepare_failures=" + std::to_string(prepare_failures) +
-         " decision_aborts=" + std::to_string(decision_aborts) +
          " crashes=" + std::to_string(crashes) +
          " recovered_commits=" + std::to_string(recovered_commits) +
          " recovered_aborts=" + std::to_string(recovered_aborts);
@@ -91,32 +90,17 @@ Status TxnCoordinator::Commit(TxnId gid,
         std::to_string(gid) + "; participants left in doubt");
   }
 
-  // Phase 2: deliver the decision.  A lock-scheduler participant can
-  // never refuse here; a certifying (SSI) participant may answer
-  // kSerializationFailure when its dangerous structure completed while in
-  // doubt — it has already rolled itself back (an abort acknowledgement).
-  // The *logged* decision is still commit, so every other participant
-  // still receives CommitPrepared — exactly what crash recovery would do
-  // with the same log — and the retryable refusal surfaces to the session
-  // layer afterwards.  Anything but a serialization refusal is a protocol
-  // bug worth surfacing loudly.
-  Status refusal = Status::OK();
-  uint64_t refused = 0;
-  uint64_t committed_parts = 0;
+  // Phase 2: deliver the decision.  After an OK Prepare no participant
+  // can refuse it, so any failure here is a protocol bug worth surfacing
+  // loudly.
   {
     obs::ScopedTimer t(decision_hist_);
     for (Transaction* p : parts) {
       Status s = p->CommitPrepared();
-      if (s.ok()) {
-        ++committed_parts;
-        continue;
-      }
-      if (!s.IsSerializationFailure()) {
+      if (!s.ok()) {
         return Status::Internal("participant refused CommitPrepared for gid " +
                                 std::to_string(gid) + ": " + s.ToString());
       }
-      if (refusal.ok()) refusal = s;
-      ++refused;
     }
   }
 
@@ -125,27 +109,6 @@ Status TxnCoordinator::Commit(TxnId gid,
   if (log_ != nullptr) (void)log_->Append(WalRecord::DecisionEnd(gid));
   std::lock_guard<std::mutex> lk(mu_);
   decisions_.erase(gid);  // all participants terminal; nothing left to recover
-  if (!refusal.ok()) {
-    stats_.decision_aborts += refused;
-    ++stats_.aborted;
-    if (committed_parts == 0) {
-      // Nothing published anywhere: the global transaction is a clean
-      // abort and the serialization refusal is safe to retry.
-      return refusal;
-    }
-    // Some participants durably committed, the refusers aborted: the
-    // decision was *partially applied*.  This must NOT surface as a
-    // retryable status — the session layer's automatic retry would
-    // silently re-apply the committed shards' effects.  Like a
-    // coordinator crash, it surfaces as kInternal for the application to
-    // reconcile (every participant is terminal; nothing is in doubt).
-    return Status::Internal(
-        "commit decision for gid " + std::to_string(gid) +
-        " partially applied: " + std::to_string(committed_parts) +
-        " participant(s) committed, " + std::to_string(refused) +
-        " refused at the decision phase (" + refusal.ToString() +
-        "); cross-shard atomicity was lost — do not blindly retry");
-  }
   ++stats_.committed;
   return Status::OK();
 }
@@ -182,11 +145,6 @@ void TxnCoordinator::CountRecovery(bool committed, uint64_t participants) {
   }
 }
 
-void TxnCoordinator::CountDecisionAbort() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++stats_.decision_aborts;
-}
-
 void TxnCoordinator::set_failpoint(CoordinatorFailpoint f) {
   std::lock_guard<std::mutex> lk(mu_);
   failpoint_ = f;
@@ -205,8 +163,6 @@ void TxnCoordinator::RegisterMetrics(obs::MetricsRegistry& reg,
   reg.RegisterGauge(prefix + "aborted", [this] { return stats().aborted; });
   reg.RegisterGauge(prefix + "prepare_failures",
                     [this] { return stats().prepare_failures; });
-  reg.RegisterGauge(prefix + "decision_aborts",
-                    [this] { return stats().decision_aborts; });
   reg.RegisterHistogram(prefix + "prepare_us", &prepare_hist_);
   reg.RegisterHistogram(prefix + "decision_us", &decision_hist_);
 }

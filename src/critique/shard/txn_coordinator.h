@@ -38,9 +38,8 @@ struct CoordinatorStats {
   uint64_t committed = 0;         ///< full 2PC rounds that committed
   uint64_t aborted = 0;           ///< global aborts (a participant refused)
   uint64_t prepare_failures = 0;  ///< participants that refused prepare
-  /// Participants refused at the *decision* phase: a certifying (SSI)
-  /// engine re-validates at CommitPrepared, and an in-doubt participant
-  /// whose dangerous structure completed while prepared aborts there.
+  /// Always 0: `CommitPrepared` cannot refuse after an OK `Prepare`.  Kept
+  /// only because txnbench reads it; deleted with txnbench's next change.
   uint64_t decision_aborts = 0;
   uint64_t crashes = 0;           ///< failpoint-injected crashes
   uint64_t recovered_commits = 0; ///< in-doubt participants recovered forward
@@ -60,31 +59,10 @@ std::ostream& operator<<(std::ostream& os, const CoordinatorStats& stats);
 /// (typically `kSerializationFailure`, retryable) is returned so the
 /// session layer's `RetryPolicy` restarts the whole transaction.  Phase 2
 /// logs the commit decision, then delivers `CommitPrepared` to every
-/// participant; after all acknowledge, the decision is forgotten.
-///
-/// A certifying participant (SSI) re-validates at `CommitPrepared` and
-/// may refuse with `kSerializationFailure` when a dangerous structure
-/// completed while it was in doubt (engine.h, 2PC protocol notes).  The
-/// refusal is an abort acknowledgement — the participant has already
-/// rolled back — and the *logged* decision is still commit, so the
-/// coordinator keeps delivering `CommitPrepared` to every other
-/// participant (identical to what `RecoverInDoubt` would do from the
-/// same log after a crash: every participant that can commit commits,
-/// refusers abort), and counts each refusal as a `decision_abort`.  The
-/// returned status depends on what was published: if *no* participant
-/// committed, the global transaction is a clean abort and the retryable
-/// `kSerializationFailure` surfaces (the session layer may safely
-/// re-run the body); if some participants committed and others refused,
-/// the decision was partially applied and the coordinator answers
-/// `kInternal` — deliberately non-retryable, because an automatic
-/// re-run would silently re-apply the committed shards' effects.
-/// Serializability of each shard's own history is preserved either way
-/// (that is exactly what the refusing engine enforced); the partial
-/// case costs global atomicity — the same exposure a coordinator crash
-/// between decision deliveries leaves, surfaced the same way (an
-/// `kInternal` answer the application must reconcile).  Per-shard
-/// Locking SERIALIZABLE participants never refuse a decision; see
-/// docs/architecture.md.
+/// participant; after all acknowledge, the decision is forgotten.  After
+/// an OK `Prepare` no stock engine's `CommitPrepared` can fail (engine.h,
+/// 2PC protocol notes), so a phase-2 failure is a protocol bug and
+/// surfaces as `kInternal`.
 ///
 /// The decision log implements **presumed abort**: an in-doubt participant
 /// whose global transaction has no logged decision must abort.  Only the
@@ -132,10 +110,6 @@ class TxnCoordinator {
 
   /// Record recovery outcomes (called by `ShardedDatabase::RecoverInDoubt`).
   void CountRecovery(bool committed, uint64_t participants);
-
-  /// Record a participant that refused its logged commit decision at
-  /// `CommitPrepared` (certifying-engine re-validation; see class notes).
-  void CountDecisionAbort();
 
   /// Installs (or clears, with kNone) a crash point.  Sticky until reset.
   void set_failpoint(CoordinatorFailpoint f);

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <map>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -17,6 +19,7 @@
 #include "critique/analysis/mv_analysis.h"
 #include "critique/db/database.h"
 #include "critique/lock/lock_manager.h"
+#include "critique/shard/sharded_database.h"
 #include "critique/workload/parallel_driver.h"
 #include "critique/workload/workload.h"
 
@@ -588,6 +591,88 @@ TEST(ConcurrencyTest, BeginRacesWatermarkGc) {
     EXPECT_GT(db.engine().version_gc_stats().runs, 0u) << db.name();
     EXPECT_EQ(db.open_transactions(), 0) << db.name();
   }
+}
+
+TEST(ConcurrencyTest, CrossShardSsiCommitsAllOrNothing) {
+  // The all-or-nothing oracle for cross-shard SSI.  Write-skew-prone
+  // bodies (read a key on each shard, write a third) form dangerous
+  // structures around prepared participants; simulated fsyncs on every
+  // shard WAL and on the coordinator's decision log hold each in-doubt
+  // window open while the other threads commit.  A prepared participant
+  // counts as committed for SSI, so the completer aborts, the decision is
+  // never refused, and no global transaction commits on only some of the
+  // shards it touched.
+  const std::string dir =
+      testing::TempDir() + "critique_concurrency_cross_shard_ssi";
+  std::filesystem::remove_all(dir);
+  ShardedDbOptions opts(2, IsolationLevel::kSerializableSI);
+  opts.shard_options = BlockingOptions(IsolationLevel::kSerializableSI,
+                                       /*seed=*/29);
+  opts.shard_options.fsync_mode = FsyncMode::kSimulated;
+  opts.shard_options.fsync_latency = std::chrono::microseconds(200);
+  opts.wal_dir = dir;
+  ShardedDatabase db(opts);
+
+  // Three keys per shard: enough overlap for rw edges in both directions.
+  std::vector<ItemId> keys[2];
+  for (int i = 0; keys[0].size() < 3 || keys[1].size() < 3; ++i) {
+    const ItemId id = "k" + std::to_string(i);
+    std::vector<ItemId>& pool = keys[db.ShardOf(id)];
+    if (pool.size() < 3) {
+      pool.push_back(id);
+      ASSERT_TRUE(db.Load(id, Value(int64_t{1})).ok());
+    }
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 40;
+  std::atomic<uint64_t> committed{0};
+  std::atomic<uint64_t> internal{0};
+  std::vector<Rng> rngs;
+  for (int t = 0; t < kThreads; ++t) rngs.push_back(db.ForkRng());
+  {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        Rng& rng = rngs[static_cast<size_t>(t)];
+        for (int i = 0; i < kPerThread; ++i) {
+          const ItemId a = keys[0][rng.Uniform(3)];
+          const ItemId b = keys[1][rng.Uniform(3)];
+          const std::vector<ItemId>& pool = keys[rng.Uniform(2)];
+          ItemId c = pool[rng.Uniform(3)];
+          while (c == a || c == b) c = pool[rng.Uniform(3)];
+          Status s = db.Execute([&](ShardedTransaction& txn) -> Status {
+            CRITIQUE_ASSIGN_OR_RETURN(Value va, txn.GetScalar(a));
+            CRITIQUE_ASSIGN_OR_RETURN(Value vb, txn.GetScalar(b));
+            return txn.Put(c, Value((va.AsInt() + vb.AsInt()) % 1000));
+          });
+          if (s.ok()) committed.fetch_add(1);
+          if (s.IsInternal()) internal.fetch_add(1);
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+  }
+
+  EXPECT_EQ(internal.load(), 0u) << "a commit decision was refused";
+  EXPECT_GT(committed.load(), 0u);
+  EXPECT_GT(db.coordinator().stats().committed, 0u) << "no 2PC round ran";
+  // Every global id committed on every shard it touched, or on none.
+  std::map<TxnId, std::pair<int, int>> touched_committed;
+  for (int s = 0; s < db.num_shards(); ++s) {
+    const History h = db.shard(s).history();
+    for (TxnId t : h.Transactions()) ++touched_committed[t].first;
+    for (TxnId t : h.Committed()) ++touched_committed[t].second;
+    EXPECT_TRUE(h.ActiveAtEnd().empty()) << "shard " << s;
+    EXPECT_TRUE(IsMVSerializable(h))
+        << "shard " << s << "\n" << MVSerializationGraph::Build(h).ToString();
+  }
+  for (const auto& [gid, tc] : touched_committed) {
+    EXPECT_TRUE(tc.second == 0 || tc.second == tc.first)
+        << "gid " << gid << " committed on " << tc.second << " of the "
+        << tc.first << " shards it touched";
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ConcurrencyTest, InsertPreconditionRecheckedAfterBlockingWait) {

@@ -60,7 +60,7 @@ void CheckRun(HistexConfig cfg) {
   }
   // Satellite invariant: the abort-split counters account for every
   // serialization abort, at every level mix and shard count.
-  EXPECT_EQ(r.stats.fcw_aborts + r.stats.ssi_aborts + r.stats.in_doubt_aborts,
+  EXPECT_EQ(r.stats.fcw_aborts + r.stats.ssi_aborts,
             r.stats.serialization_aborts)
       << cfg.ToString();
 }

@@ -208,7 +208,6 @@ TEST(ObsDatabaseTest, FirstCommitterWinsAbortIsTaggedAndSplit) {
   EXPECT_EQ(stats.serialization_aborts, 1u);
   EXPECT_EQ(stats.fcw_aborts, 1u);
   EXPECT_EQ(stats.ssi_aborts, 0u);
-  EXPECT_EQ(stats.in_doubt_aborts, 0u);
 
   ASSERT_NE(db.tracer(), nullptr);
   const auto events = db.tracer()->Dump(2);
@@ -250,10 +249,8 @@ TEST(ObsDatabaseTest, SsiDangerousStructureAbortIsTaggedAndSplit) {
   EXPECT_EQ(stats.serialization_aborts, 1u);
   EXPECT_EQ(stats.ssi_aborts, 1u);
   EXPECT_EQ(stats.fcw_aborts, 0u);
-  EXPECT_EQ(stats.in_doubt_aborts, 0u);
   // The split is a breakdown, never a second ledger.
-  EXPECT_EQ(stats.fcw_aborts + stats.ssi_aborts + stats.in_doubt_aborts,
-            stats.serialization_aborts);
+  EXPECT_EQ(stats.fcw_aborts + stats.ssi_aborts, stats.serialization_aborts);
 
   ASSERT_NE(db.tracer(), nullptr);
   const auto events = db.tracer()->Dump(1);

@@ -471,24 +471,33 @@ TEST(InDoubtRecoveryTest, HeterogeneousShardsSurviveACrashAfterDecision) {
 }
 
 // ---------------------------------------------------------------------------
-// The SSI prepare window (commit-pipeline stage 2 at the decision phase)
+// The SSI prepare window: a prepared participant counts as committed
 // ---------------------------------------------------------------------------
 //
-// An SSI participant validates at Prepare; rw-antidependencies that close
-// a dangerous structure (Cahill et al. 2008) around it *while it is in
-// doubt* — the Ports & Grittner prepared-transaction hazard — can only be
-// seen by the re-validation CommitPrepared runs.  These tests pin the
-// whole contract: the completer of a structure whose pivot is merely
-// *prepared* is admitted (the prepared side absorbs the abort at its
-// decision), the refusal is a terminal abort acknowledgement (nothing
-// leaks, retryable status), and both the coordinator's inline phase 2 and
-// crash recovery plumb it as a decision abort.
+// An SSI participant validates at Prepare.  From then on every other
+// commit's SSI check treats it as committed (Ports & Grittner, VLDB 2012):
+// the transaction that would complete a dangerous structure (Cahill et
+// al. 2008) around the prepared one aborts instead, and CommitPrepared
+// cannot fail.  These tests pin the new victim on each side of the
+// prepared pivot, write skew with a prepared participant, the
+// coordinator's inline phase 2, and crash recovery — under both GC modes
+// (kWatermark runs a pass after every commit, so a retired witness would
+// show).
 
-// Builds the dangerous structure around an in-doubt participant P on one
-// SSI database: P reads `xr` and writes `xw`; T3 overwrites `xr` and
-// commits first (P -rw-> T3); then T1 reads the old `xw` (T1 -rw-> P) and
-// commits.  On return P is a completed pivot that must abort at its
-// decision.
+class SsiPreparedWindowTest : public ::testing::TestWithParam<VersionGcMode> {
+ protected:
+  DbOptions Options() const {
+    DbOptions o(IsolationLevel::kSerializableSI);
+    o.version_gc = GetParam();
+    o.version_gc_interval = 1;
+    return o;
+  }
+};
+
+// Tries to complete the dangerous structure around an in-doubt
+// participant P on one SSI database: P read `xr` and wrote `xw`; T3
+// overwrites `xr` and commits first (P -rw-> T3); then T1 reads the old
+// `xw` (T1 -rw-> P).  P is prepared, so T1, the completer, is refused.
 void CompleteStructureAroundPrepared(Database& db, const ItemId& xr,
                                      const ItemId& xw) {
   Transaction t3 = db.Begin();
@@ -498,54 +507,143 @@ void CompleteStructureAroundPrepared(Database& db, const ItemId& xr,
   auto r = t1.GetScalar(xw);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->AsInt(), 0) << "P's pending write must stay invisible";
-  ASSERT_TRUE(t1.Commit().ok())
-      << "the completer is admitted: the merely-prepared pivot absorbs "
-         "the abort at its decision phase";
+  Status s = t1.Commit();
+  EXPECT_TRUE(s.IsSerializationFailure())
+      << "the completer must abort: the prepared pivot cannot: "
+      << s.ToString();
 }
 
-TEST(SsiPreparedWindowTest, StructureCompletedInDoubtAbortsAtCommitPrepared) {
-  Database db{DbOptions(IsolationLevel::kSerializableSI)};
+// P reads `xr`, writes `xw` and prepares; prepare must admit it.
+Transaction PrepareReadWrite(Database& db, const ItemId& xr,
+                             const ItemId& xw) {
+  Transaction p = db.Begin();
+  EXPECT_TRUE(p.Get(xr).ok());
+  EXPECT_TRUE(p.Put(xw, Value(int64_t{1})).ok());
+  return p;
+}
+
+TEST_P(SsiPreparedWindowTest, InEdgeCompleterIsRefused) {
+  Database db{Options()};
   ASSERT_TRUE(db.Load("xr", Value(int64_t{0})).ok());
   ASSERT_TRUE(db.Load("xw", Value(int64_t{0})).ok());
 
-  Transaction p = db.Begin();
-  ASSERT_TRUE(p.Get("xr").ok());
-  ASSERT_TRUE(p.Put("xw", Value(int64_t{1})).ok());
+  Transaction p = PrepareReadWrite(db, "xr", "xw");
   ASSERT_TRUE(p.Prepare().ok()) << "not a pivot yet: prepare must admit";
 
   CompleteStructureAroundPrepared(db, "xr", "xw");
 
   Status decision = p.CommitPrepared();
-  EXPECT_TRUE(decision.IsSerializationFailure()) << decision.ToString();
-  EXPECT_FALSE(p.active()) << "the refusal is an abort acknowledgement";
-  EXPECT_TRUE(db.engine().InDoubtTransactions().empty()) << "nothing leaks";
+  EXPECT_TRUE(decision.ok()) << decision.ToString();
+  EXPECT_FALSE(p.active());
+  EXPECT_TRUE(db.engine().InDoubtTransactions().empty());
 
-  auto* si = dynamic_cast<SnapshotIsolationEngine*>(&db.engine());
-  ASSERT_NE(si, nullptr);
-  EXPECT_EQ(si->commit_pipeline_stats().decision_aborts, 1u);
-
-  // P's write rolled back; the committed projection stays one-copy
-  // serializable — the point of refusing the decision.
   Transaction audit = db.Begin();
-  EXPECT_EQ(audit.GetScalar("xw")->AsInt(), 0);
+  EXPECT_EQ(audit.GetScalar("xw")->AsInt(), 1);
   EXPECT_EQ(audit.GetScalar("xr")->AsInt(), 1);
   EXPECT_TRUE(audit.Commit().ok());
   EXPECT_TRUE(IsMVSerializable(db.history()))
       << MVSerializationGraph::Build(db.history()).ToString();
 }
 
-TEST(SsiPreparedWindowTest, CoordinatorPlumbsInlineDecisionAbort) {
-  // The same hazard through TxnCoordinator::Commit itself: the structure
-  // completes inside the in-doubt window (deterministic via the
-  // coordinator's failpoint hook), phase 2's CommitPrepared refuses, and
-  // the coordinator turns it into a retryable global abort.
-  Database db{DbOptions(IsolationLevel::kSerializableSI)};
+TEST_P(SsiPreparedWindowTest, OutNeighbourCommittingSecondIsRefused) {
+  // The other order: the in-edge T1 -rw-> P forms and T1 commits while P
+  // is in doubt; then T3 would commit first of {P, T3} with P -rw-> T3,
+  // completing the structure.  T3 is refused.
+  Database db{Options()};
   ASSERT_TRUE(db.Load("xr", Value(int64_t{0})).ok());
   ASSERT_TRUE(db.Load("xw", Value(int64_t{0})).ok());
 
-  Transaction p = db.Begin();
-  ASSERT_TRUE(p.Get("xr").ok());
-  ASSERT_TRUE(p.Put("xw", Value(int64_t{1})).ok());
+  Transaction p = PrepareReadWrite(db, "xr", "xw");
+  ASSERT_TRUE(p.Prepare().ok());
+
+  Transaction t1 = db.Begin();
+  ASSERT_TRUE(t1.Get("xw").ok());
+  ASSERT_TRUE(t1.Commit().ok()) << "no out-neighbour of P committed yet";
+
+  Transaction t3 = db.Begin();
+  ASSERT_TRUE(t3.Put("xr", Value(int64_t{1})).ok());
+  Status s = t3.Commit();
+  EXPECT_TRUE(s.IsSerializationFailure()) << s.ToString();
+
+  EXPECT_TRUE(p.CommitPrepared().ok());
+  Transaction audit = db.Begin();
+  EXPECT_EQ(audit.GetScalar("xw")->AsInt(), 1);
+  EXPECT_EQ(audit.GetScalar("xr")->AsInt(), 0) << "T3 rolled back";
+  EXPECT_TRUE(audit.Commit().ok());
+  EXPECT_TRUE(IsMVSerializable(db.history()))
+      << MVSerializationGraph::Build(db.history()).ToString();
+}
+
+TEST_P(SsiPreparedWindowTest, OutNeighbourRefusedWhenInEdgeSourceIsPrepared) {
+  // Both ends of the in-edge are prepared: T1 -rw-> P.  T3 closes the
+  // cycle T1 -rw-> P -rw-> T3 -rw-> T1 and would commit first.  T3
+  // declares plain SI, so only the prepared pivot's contract refuses it.
+  Database db{Options()};
+  ASSERT_TRUE(db.Load("xr", Value(int64_t{0})).ok());
+  ASSERT_TRUE(db.Load("xw", Value(int64_t{0})).ok());
+  ASSERT_TRUE(db.Load("z", Value(int64_t{0})).ok());
+
+  Transaction p = PrepareReadWrite(db, "xr", "xw");
+  ASSERT_TRUE(p.Prepare().ok());
+  Transaction t1 = PrepareReadWrite(db, "xw", "z");  // T1 -rw-> P
+  ASSERT_TRUE(t1.Prepare().ok());
+
+  Result<Transaction> begun =
+      db.Begin(BeginOptions{IsolationLevel::kSnapshotIsolation});
+  ASSERT_TRUE(begun.ok());
+  Transaction t3 = std::move(*begun);
+  ASSERT_TRUE(t3.Get("z").ok());                        // T3 -rw-> T1
+  ASSERT_TRUE(t3.Put("xr", Value(int64_t{1})).ok());  // P -rw-> T3
+  Status s = t3.Commit();
+  EXPECT_TRUE(s.IsSerializationFailure()) << s.ToString();
+
+  EXPECT_TRUE(p.CommitPrepared().ok());
+  EXPECT_TRUE(t1.CommitPrepared().ok());
+  EXPECT_TRUE(IsMVSerializable(db.history()))
+      << MVSerializationGraph::Build(db.history()).ToString();
+}
+
+TEST_P(SsiPreparedWindowTest, WriteSkewWithPreparedParticipantRefusesSelf) {
+  // Self -rw-> P -rw-> self: self is both the in-edge source and the
+  // out-edge target.  Self declares plain SI, so it is not refused as a
+  // pivot under its own contract; the refusal protects P's.
+  Database db{Options()};
+  ASSERT_TRUE(db.Load("x", Value(int64_t{0})).ok());
+  ASSERT_TRUE(db.Load("y", Value(int64_t{0})).ok());
+
+  Transaction p = PrepareReadWrite(db, "x", "y");
+  ASSERT_TRUE(p.Prepare().ok());
+
+  Result<Transaction> begun =
+      db.Begin(BeginOptions{IsolationLevel::kSnapshotIsolation});
+  ASSERT_TRUE(begun.ok());
+  Transaction self = std::move(*begun);
+  ASSERT_TRUE(self.Get("y").ok());                     // self -rw-> P
+  ASSERT_TRUE(self.Put("x", Value(int64_t{1})).ok());  // P -rw-> self
+  Status s = self.Commit();
+  EXPECT_TRUE(s.IsSerializationFailure()) << s.ToString();
+  EXPECT_NE(s.message().find("prepared pivot"), std::string::npos)
+      << s.ToString();
+
+  EXPECT_TRUE(p.CommitPrepared().ok());
+  Transaction audit = db.Begin();
+  EXPECT_EQ(audit.GetScalar("x")->AsInt(), 0);
+  EXPECT_EQ(audit.GetScalar("y")->AsInt(), 1);
+  EXPECT_TRUE(audit.Commit().ok());
+  EXPECT_TRUE(IsMVSerializable(db.history()))
+      << MVSerializationGraph::Build(db.history()).ToString();
+}
+
+TEST_P(SsiPreparedWindowTest, CoordinatorCommitsDespiteStructureInDoubt) {
+  // The same hazard through TxnCoordinator::Commit itself: the structure
+  // is attempted inside the in-doubt window (deterministic via the
+  // coordinator's hook), the completer is refused, and phase 2 commits
+  // the global transaction.
+  Database db{Options()};
+  ASSERT_TRUE(db.Load("xr", Value(int64_t{0})).ok());
+  ASSERT_TRUE(db.Load("xw", Value(int64_t{0})).ok());
+
+  Transaction p = PrepareReadWrite(db, "xr", "xw");
 
   TxnCoordinator coordinator;
   coordinator.set_in_doubt_hook([&](TxnId gid) {
@@ -556,72 +654,66 @@ TEST(SsiPreparedWindowTest, CoordinatorPlumbsInlineDecisionAbort) {
   Status s = coordinator.Commit(gid, {&p});
   coordinator.set_in_doubt_hook(nullptr);
 
-  EXPECT_TRUE(s.IsSerializationFailure()) << s.ToString();
+  EXPECT_TRUE(s.ok()) << s.ToString();
   EXPECT_FALSE(p.active());
-  EXPECT_EQ(coordinator.stats().decision_aborts, 1u);
-  EXPECT_EQ(coordinator.stats().aborted, 1u);
-  EXPECT_EQ(coordinator.stats().committed, 0u);
+  EXPECT_EQ(coordinator.stats().committed, 1u);
+  EXPECT_EQ(coordinator.stats().aborted, 0u);
   EXPECT_FALSE(coordinator.DecisionFor(gid).has_value())
-      << "the refused decision must not linger in the log";
+      << "an applied decision must not linger in the log";
   EXPECT_TRUE(db.engine().InDoubtTransactions().empty());
   EXPECT_TRUE(IsMVSerializable(db.history()));
 }
 
-TEST(SsiPreparedWindowTest, PartiallyAppliedDecisionIsNotRetryable) {
-  // Two participants, one of which completes a dangerous structure while
-  // in doubt: the clean one commits at the decision, the doomed one
-  // refuses.  The decision is now *partially applied*, so the
-  // coordinator must answer non-retryable kInternal — a retryable status
-  // would let the session layer silently re-apply the committed
-  // participant's effects.
-  Database clean{DbOptions(IsolationLevel::kSerializableSI)};
-  Database doomed{DbOptions(IsolationLevel::kSerializableSI)};
-  ASSERT_TRUE(clean.Load("c", Value(int64_t{0})).ok());
-  ASSERT_TRUE(doomed.Load("xr", Value(int64_t{0})).ok());
-  ASSERT_TRUE(doomed.Load("xw", Value(int64_t{0})).ok());
+TEST_P(SsiPreparedWindowTest, BothParticipantsCommitDespiteStructureInDoubt) {
+  // Two participants, one of which has a dangerous structure attempted
+  // around it while in doubt: the completer is refused on that shard, and
+  // the decision commits both participants — no partial commit.
+  Database plain{Options()};
+  Database structured{Options()};
+  ASSERT_TRUE(plain.Load("c", Value(int64_t{0})).ok());
+  ASSERT_TRUE(structured.Load("xr", Value(int64_t{0})).ok());
+  ASSERT_TRUE(structured.Load("xw", Value(int64_t{0})).ok());
 
-  Transaction pc = clean.Begin();
+  Transaction pc = plain.Begin();
   ASSERT_TRUE(pc.Put("c", Value(int64_t{1})).ok());
-  Transaction pd = doomed.Begin();
-  ASSERT_TRUE(pd.Get("xr").ok());
-  ASSERT_TRUE(pd.Put("xw", Value(int64_t{1})).ok());
+  Transaction ps = PrepareReadWrite(structured, "xr", "xw");
 
   TxnCoordinator coordinator;
   coordinator.set_in_doubt_hook([&](TxnId gid) {
     (void)gid;
-    CompleteStructureAroundPrepared(doomed, "xr", "xw");
+    CompleteStructureAroundPrepared(structured, "xr", "xw");
   });
-  Status s = coordinator.Commit(/*gid=*/1, {&pc, &pd});
+  Status s = coordinator.Commit(/*gid=*/1, {&pc, &ps});
   coordinator.set_in_doubt_hook(nullptr);
 
-  EXPECT_TRUE(s.IsInternal()) << s.ToString();
-  EXPECT_EQ(coordinator.stats().decision_aborts, 1u);
-  EXPECT_EQ(coordinator.stats().committed, 0u);
-  EXPECT_EQ(coordinator.stats().aborted, 1u);
-  // The clean participant's effect is durable, the doomed one rolled
-  // back — the documented (counted, non-silent) atomicity cost.
-  Transaction a1 = clean.Begin();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(coordinator.stats().committed, 1u);
+  EXPECT_EQ(coordinator.stats().aborted, 0u);
+  Transaction a1 = plain.Begin();
   EXPECT_EQ(a1.GetScalar("c")->AsInt(), 1);
   EXPECT_TRUE(a1.Commit().ok());
-  Transaction a2 = doomed.Begin();
-  EXPECT_EQ(a2.GetScalar("xw")->AsInt(), 0);
+  Transaction a2 = structured.Begin();
+  EXPECT_EQ(a2.GetScalar("xw")->AsInt(), 1);
   EXPECT_TRUE(a2.Commit().ok());
+  EXPECT_TRUE(IsMVSerializable(plain.history()));
+  EXPECT_TRUE(IsMVSerializable(structured.history()))
+      << MVSerializationGraph::Build(structured.history()).ToString();
 }
 
-TEST(SsiPreparedWindowTest, RecoveryCountsDecisionAbortAcrossShards) {
+TEST_P(SsiPreparedWindowTest, RecoveryRollsBothParticipantsForward) {
   // Cross-shard flavor: a two-shard SSI transaction crashes after the
-  // commit decision is logged; while in doubt, the dangerous structure
-  // completes on one participant's shard.  Recovery rolls the clean
-  // participant forward and records the refused one as a decision abort —
-  // each shard's own history stays serializable, which is exactly what
-  // the refusing engine enforces (the cross-shard atomicity cost is the
-  // documented coordinator caveat).
-  ShardedDatabase db(2, IsolationLevel::kSerializableSI);
+  // commit decision is logged; while in doubt, the dangerous structure is
+  // attempted on one participant's shard and its completer refused.
+  // Recovery rolls both participants forward.
+  ShardedDbOptions opts;
+  opts.num_shards = 2;
+  opts.shard_options = Options();
+  ShardedDatabase db(opts);
   auto pair = PickCrossShardPair(db.router());
   ASSERT_TRUE(pair.ok());
   const ItemId xr = pair->first;   // structure shard
-  const ItemId w = pair->second;   // clean shard
-  // A second key on the structure shard for P's write.
+  const ItemId w = pair->second;   // plain shard
+  // A second key on the structure shard for G's write.
   ItemId xw;
   for (int k = 0;; ++k) {
     ItemId candidate = "xw" + std::to_string(k);
@@ -645,7 +737,7 @@ TEST(SsiPreparedWindowTest, RecoveryCountsDecisionAbortAcrossShards) {
     db.coordinator().set_failpoint(CoordinatorFailpoint::kNone);
   }
 
-  // While G is in doubt, complete the structure on its xr/xw shard with
+  // While G is in doubt, attempt the structure on its xr/xw shard with
   // two single-shard (fast-path) transactions — through the facade, so
   // global ids stay in sync with the shard sessions.
   {
@@ -656,27 +748,35 @@ TEST(SsiPreparedWindowTest, RecoveryCountsDecisionAbortAcrossShards) {
     auto r = t1.GetScalar(xw);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->AsInt(), 0) << "G's pending write must stay invisible";
-    ASSERT_TRUE(t1.Commit().ok());
+    Status s = t1.Commit();
+    EXPECT_TRUE(s.IsSerializationFailure()) << s.ToString();
   }
 
   auto rep = db.RecoverInDoubt();
-  EXPECT_EQ(rep.decision_aborts, 1u);  // the completed-pivot participant
-  EXPECT_EQ(rep.committed, 1u);        // the clean shard rolled forward
+  EXPECT_EQ(rep.committed, 2u);
   EXPECT_EQ(rep.aborted, 0u);
-  EXPECT_EQ(db.coordinator().stats().decision_aborts, 1u);
+  EXPECT_EQ(db.coordinator().stats().recovered_commits, 2u);
   for (int s = 0; s < db.num_shards(); ++s) {
     EXPECT_TRUE(db.shard(s).engine().InDoubtTransactions().empty());
     EXPECT_TRUE(IsMVSerializable(db.shard(s).history())) << "shard " << s;
   }
   // Recovery converged; a second pass finds nothing.
   auto again = db.RecoverInDoubt();
-  EXPECT_EQ(again.committed + again.aborted + again.decision_aborts, 0u);
+  EXPECT_EQ(again.committed + again.aborted, 0u);
 
   ShardedTransaction audit = db.Begin();
-  EXPECT_EQ(audit.GetScalar(xw)->AsInt(), 0);  // refused participant undone
-  EXPECT_EQ(audit.GetScalar(w)->AsInt(), 1);   // clean participant forward
+  EXPECT_EQ(audit.GetScalar(xw)->AsInt(), 1);
+  EXPECT_EQ(audit.GetScalar(w)->AsInt(), 1);
   EXPECT_TRUE(audit.Commit().ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    GcModes, SsiPreparedWindowTest,
+    ::testing::Values(VersionGcMode::kRetainAll, VersionGcMode::kWatermark),
+    [](const ::testing::TestParamInfo<VersionGcMode>& info) {
+      return info.param == VersionGcMode::kRetainAll ? "RetainAll"
+                                                     : "Watermark";
+    });
 
 // ---------------------------------------------------------------------------
 // Heterogeneous shards and the concurrent driver

@@ -310,7 +310,7 @@ TEST(SIEngineTest, GarbageCollectionRespectsActiveSnapshots) {
     ASSERT_TRUE(e.Commit(t).ok());
   }
   size_t before = e.VersionCount();
-  e.GarbageCollect();
+  e.GarbageCollectVersions();
   // T1's snapshot pins the initial version: at most the two intermediate
   // committed versions are collectable.
   EXPECT_GE(e.VersionCount(), 2u);
@@ -319,7 +319,7 @@ TEST(SIEngineTest, GarbageCollectionRespectsActiveSnapshots) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE((*r)->scalar().Equals(Value(0)));  // still readable
   ASSERT_TRUE(e.Commit(1).ok());
-  e.GarbageCollect();
+  e.GarbageCollectVersions();
   EXPECT_EQ(e.VersionCount(), 1u);  // only the newest survives
 }
 
