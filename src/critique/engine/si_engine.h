@@ -203,12 +203,14 @@ class SnapshotIsolationEngine : public Engine {
   // conflict purposes (Ports & Grittner, VLDB 2012): it is never the
   // victim of a dangerous structure, and the transaction whose commit
   // would complete one through it aborts instead.  Once prepared it runs
-  // no more operations, so every edge that later forms on it has an active
-  // other endpoint whose own commit runs that check.  `CommitPrepared` is
-  // therefore commit-pipeline stage 2 without the re-validation: it
-  // publishes and cannot fail, the textbook participant contract.  An ORC
-  // participant additionally keeps its Write locks through the in-doubt
-  // window.
+  // no more operations, so every edge that later forms on it has an
+  // active other endpoint whose own commit runs that check.  No GC pass
+  // retires its committed neighbours meanwhile: it holds the watermark at
+  // or below its start, and they all committed after that.
+  // `CommitPrepared` is therefore commit-pipeline stage 2 without the
+  // re-validation: it publishes and cannot fail, the textbook participant
+  // contract.  An ORC participant additionally keeps its Write locks
+  // through the in-doubt window.
   Status Prepare(TxnId txn) override;
   Status CommitPrepared(TxnId txn) override;
   Status AbortPrepared(TxnId txn) override;

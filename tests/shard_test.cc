@@ -509,13 +509,11 @@ void CompleteStructureAroundPrepared(Database& db, const ItemId& xr,
   EXPECT_EQ(r->AsInt(), 0) << "P's pending write must stay invisible";
   Status s = t1.Commit();
   EXPECT_TRUE(s.IsSerializationFailure())
-      << "the completer must abort: the prepared pivot cannot: "
-      << s.ToString();
+      << "the completer must abort, not the prepared pivot: " << s.ToString();
 }
 
-// P reads `xr`, writes `xw` and prepares; prepare must admit it.
-Transaction PrepareReadWrite(Database& db, const ItemId& xr,
-                             const ItemId& xw) {
+// Begins a transaction that reads `xr` and writes `xw`.
+Transaction ReadThenWrite(Database& db, const ItemId& xr, const ItemId& xw) {
   Transaction p = db.Begin();
   EXPECT_TRUE(p.Get(xr).ok());
   EXPECT_TRUE(p.Put(xw, Value(int64_t{1})).ok());
@@ -527,7 +525,7 @@ TEST_P(SsiPreparedWindowTest, InEdgeCompleterIsRefused) {
   ASSERT_TRUE(db.Load("xr", Value(int64_t{0})).ok());
   ASSERT_TRUE(db.Load("xw", Value(int64_t{0})).ok());
 
-  Transaction p = PrepareReadWrite(db, "xr", "xw");
+  Transaction p = ReadThenWrite(db, "xr", "xw");
   ASSERT_TRUE(p.Prepare().ok()) << "not a pivot yet: prepare must admit";
 
   CompleteStructureAroundPrepared(db, "xr", "xw");
@@ -553,7 +551,7 @@ TEST_P(SsiPreparedWindowTest, OutNeighbourCommittingSecondIsRefused) {
   ASSERT_TRUE(db.Load("xr", Value(int64_t{0})).ok());
   ASSERT_TRUE(db.Load("xw", Value(int64_t{0})).ok());
 
-  Transaction p = PrepareReadWrite(db, "xr", "xw");
+  Transaction p = ReadThenWrite(db, "xr", "xw");
   ASSERT_TRUE(p.Prepare().ok());
 
   Transaction t1 = db.Begin();
@@ -583,9 +581,9 @@ TEST_P(SsiPreparedWindowTest, OutNeighbourRefusedWhenInEdgeSourceIsPrepared) {
   ASSERT_TRUE(db.Load("xw", Value(int64_t{0})).ok());
   ASSERT_TRUE(db.Load("z", Value(int64_t{0})).ok());
 
-  Transaction p = PrepareReadWrite(db, "xr", "xw");
+  Transaction p = ReadThenWrite(db, "xr", "xw");
   ASSERT_TRUE(p.Prepare().ok());
-  Transaction t1 = PrepareReadWrite(db, "xw", "z");  // T1 -rw-> P
+  Transaction t1 = ReadThenWrite(db, "xw", "z");  // T1 -rw-> P
   ASSERT_TRUE(t1.Prepare().ok());
 
   Result<Transaction> begun =
@@ -611,7 +609,7 @@ TEST_P(SsiPreparedWindowTest, WriteSkewWithPreparedParticipantRefusesSelf) {
   ASSERT_TRUE(db.Load("x", Value(int64_t{0})).ok());
   ASSERT_TRUE(db.Load("y", Value(int64_t{0})).ok());
 
-  Transaction p = PrepareReadWrite(db, "x", "y");
+  Transaction p = ReadThenWrite(db, "x", "y");
   ASSERT_TRUE(p.Prepare().ok());
 
   Result<Transaction> begun =
@@ -643,7 +641,7 @@ TEST_P(SsiPreparedWindowTest, CoordinatorCommitsDespiteStructureInDoubt) {
   ASSERT_TRUE(db.Load("xr", Value(int64_t{0})).ok());
   ASSERT_TRUE(db.Load("xw", Value(int64_t{0})).ok());
 
-  Transaction p = PrepareReadWrite(db, "xr", "xw");
+  Transaction p = ReadThenWrite(db, "xr", "xw");
 
   TxnCoordinator coordinator;
   coordinator.set_in_doubt_hook([&](TxnId gid) {
@@ -676,7 +674,7 @@ TEST_P(SsiPreparedWindowTest, BothParticipantsCommitDespiteStructureInDoubt) {
 
   Transaction pc = plain.Begin();
   ASSERT_TRUE(pc.Put("c", Value(int64_t{1})).ok());
-  Transaction ps = PrepareReadWrite(structured, "xr", "xw");
+  Transaction ps = ReadThenWrite(structured, "xr", "xw");
 
   TxnCoordinator coordinator;
   coordinator.set_in_doubt_hook([&](TxnId gid) {
